@@ -12,8 +12,9 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from scipy.special import ndtr
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_position
 from .channel import TRUTHFUL_ACCEPT_PROB, SignalParams
+from .codec import from_json, to_json, write_json
 
 ENV_CACHE_DIR = "POSVERIFY_THETA_CACHE"
 QUANTILE_TENTHS = tuple(range(1, 10))  # 0.1 .. 0.9
@@ -56,9 +58,6 @@ class ThetaTable:
     quantiles: dict[float, float]
     samples: tuple[float, ...]
     meta: CalibrationMeta
-
-    def quantile(self, q: float) -> float:
-        return self.quantiles[q]
 
     def schedule(self) -> tuple[float, ...]:
         """Escalating thresholds for the quantile variant of the filter."""
@@ -185,80 +184,22 @@ def genuine_acceptance_prob(
 # ---------------------------------------------------------------------------
 # persistence
 
-def signal_to_dict(p: SignalParams) -> dict:
-    return {
-        "transmit_power": p.transmit_power,
-        "wavelength": p.wavelength,
-        "noise_sigma": p.noise_sigma,
-        "path_loss_exponent": p.path_loss_exponent,
-    }
-
-
-def signal_from_dict(d: dict) -> SignalParams:
-    return SignalParams(**d)
-
-
-def region_to_dict(r: Region) -> dict:
-    return asdict(r)
-
-
-def region_from_dict(d: dict) -> Region:
-    return Region(**d)
-
-
-def faking_to_dict(c: FakingSearchConfig) -> dict:
-    return asdict(c)
-
-
-def faking_from_dict(d: dict) -> FakingSearchConfig:
-    return FakingSearchConfig(**d)
-
-
-def meta_to_dict(meta: CalibrationMeta) -> dict:
-    return {
-        "signal": signal_to_dict(meta.signal),
-        "region": region_to_dict(meta.region),
-        "faking": faking_to_dict(meta.faking),
-        "num_x0": meta.num_x0,
-        "num_x_per_x0": meta.num_x_per_x0,
-        "seed": meta.seed,
-    }
-
-
-def meta_from_dict(d: dict) -> CalibrationMeta:
-    return CalibrationMeta(
-        signal=signal_from_dict(d["signal"]),
-        region=region_from_dict(d["region"]),
-        faking=faking_from_dict(d["faking"]),
-        num_x0=d["num_x0"],
-        num_x_per_x0=d["num_x_per_x0"],
-        seed=d["seed"],
-    )
-
 
 def meta_hash(meta: CalibrationMeta) -> str:
-    payload = json.dumps(meta_to_dict(meta), sort_keys=True)
+    payload = json.dumps(to_json(meta), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def table_to_dict(table: ThetaTable) -> dict:
-    return {
-        "n": table.n,
-        "theta_star": table.theta_star,
-        "quantiles": {f"{q:.1f}": v for q, v in sorted(table.quantiles.items())},
-        "samples": list(table.samples),
-        "calibration_meta": meta_to_dict(table.meta),
-    }
+    d = to_json(table)
+    d["calibration_meta"] = d.pop("meta")
+    return d
 
 
 def table_from_dict(d: dict) -> ThetaTable:
-    return ThetaTable(
-        n=d["n"],
-        theta_star=d["theta_star"],
-        quantiles={float(k): v for k, v in d["quantiles"].items()},
-        samples=tuple(d["samples"]),
-        meta=meta_from_dict(d["calibration_meta"]),
-    )
+    d = dict(d)
+    d["meta"] = d.pop("calibration_meta")
+    return from_json(ThetaTable, d)
 
 
 def theta_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
@@ -270,21 +211,27 @@ def theta_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path.home() / ".cache" / "posverify"
 
 
-def table_filename(table: ThetaTable) -> str:
-    return f"theta_n{table.n}_{meta_hash(table.meta)}.json"
+def theta_cache_path(
+    n: int, meta: CalibrationMeta, directory: str | os.PathLike | None = None
+) -> Path:
+    """Where the cache keeps the table for ``n`` nodes calibrated from ``meta``."""
+    return theta_cache_dir(directory) / f"theta_n{n}_{meta_hash(meta)}.json"
 
 
 def save_theta_table(table: ThetaTable, directory: str | os.PathLike | None = None) -> Path:
-    d = theta_cache_dir(directory)
-    d.mkdir(parents=True, exist_ok=True)
-    path = d / table_filename(table)
-    path.write_text(json.dumps(table_to_dict(table), sort_keys=True, indent=2) + "\n")
+    path = theta_cache_path(table.n, table.meta, directory)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_json(path, table_to_dict(table))
     return path
 
 
 def load_theta_table(path: str | os.PathLike) -> ThetaTable:
-    with open(path) as fh:
-        return table_from_dict(json.load(fh))
+    """Read a table file; ValueError, naming the file, if it does not hold one."""
+    try:
+        with open(path) as fh:
+            return table_from_dict(json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad theta table {path}: {exc}") from exc
 
 
 def cached_theta_table(
@@ -298,11 +245,21 @@ def cached_theta_table(
     directory: str | os.PathLike | None = None,
     workers: int = 1,
 ) -> ThetaTable:
-    """Load the table for these inputs from the cache, or build and store it."""
+    """Load the table for these inputs from the cache, or build and store it.
+
+    A cache file that does not decode, or holds a table for other inputs,
+    is recomputed and overwritten with a warning that names it.
+    """
     meta = CalibrationMeta(params, region, config, num_x0, num_x_per_x0, seed)
-    path = theta_cache_dir(directory) / f"theta_n{n}_{meta_hash(meta)}.json"
+    path = theta_cache_path(n, meta, directory)
     if path.exists():
-        return load_theta_table(path)
+        try:
+            table = load_theta_table(path)
+            if (table.n, table.meta) != (n, meta):
+                raise ValueError(f"bad theta table {path}: made for other inputs")
+            return table
+        except ValueError as exc:
+            warnings.warn(f"{exc}; recomputing it", stacklevel=2)
     table = estimate_theta_table(
         params, region, n, num_x0, num_x_per_x0, config, seed, workers=workers
     )

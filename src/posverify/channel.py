@@ -69,17 +69,6 @@ class SignalParams:
         """Reference length wavelength/(4*pi), metres."""
         return self.wavelength / FOUR_PI
 
-    @classmethod
-    def from_alpha(
-        cls,
-        transmit_power: float,
-        alpha: float,
-        noise_sigma: float = 0.0,
-        path_loss_exponent: float = 2.0,
-    ) -> "SignalParams":
-        """Build params from the reference length instead of the wavelength."""
-        return cls(transmit_power, alpha * FOUR_PI, noise_sigma, path_loss_exponent)
-
 
 @dataclass(frozen=True)
 class AcceptanceInterval:

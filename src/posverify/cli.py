@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from .adversary import FakingSearchConfig, Region
 from .calibration import estimate_theta_table, table_to_dict
 from .channel import SignalParams
+from .codec import write_csv, write_json
 from .experiment import (
     NOISE_MODES,
     PRESETS,
@@ -51,29 +49,20 @@ def _cmd_theta(args) -> int:
         wavelength=args.wavelength,
         path_loss_exponent=args.path_loss_exponent,
     )
-    config = ExperimentConfig(
-        n=args.n,
-        n0=max(2, args.n // 2),
-        region=region,
-        signal=signal,
-        noise_mode=_noise_mode(args),
-        faking=_faking_config(args, region),
-        seed=args.seed,
-    )
+    signal = replace(signal, noise_sigma=_noise_mode(args).sigma_for(signal, region))
     num_x0, num_sets = args.samples
     table = estimate_theta_table(
-        config.resolved_signal(),
+        signal,
         region,
         args.n,
         num_x0,
         num_sets,
-        config.faking,
+        _faking_config(args, region),
         seed=args.seed,
         workers=args.workers,
     )
-    out = Path(args.out)
-    out.write_text(json.dumps(table_to_dict(table), sort_keys=True, indent=2) + "\n")
-    print(f"theta_star={table.theta_star} samples={len(table.samples)} -> {out}")
+    write_json(args.out, table_to_dict(table))
+    print(f"theta_star={table.theta_star} samples={len(table.samples)} -> {args.out}")
     return 0
 
 
@@ -136,18 +125,11 @@ def _cmd_sweep(args) -> int:
             f"mean_genuine_retained={report.mean_genuine_retained:.2f}"
         )
     if args.report is not None:
-        path = Path(args.report)
-        try:
-            if args.format == "json":
-                path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")
-            else:
-                with open(path, "w", newline="") as fh:
-                    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-                    writer.writeheader()
-                    writer.writerows(rows)
-        except OSError as exc:
-            raise OSError(f"cannot write report to {path}: {exc}") from exc
-        print(f"report -> {path}")
+        if args.format == "json":
+            write_json(args.report, rows)
+        else:
+            write_csv(args.report, list(rows[0]), (list(r.values()) for r in rows))
+        print(f"report -> {args.report}")
     return 0
 
 

@@ -1,0 +1,85 @@
+"""JSON codec for the package's frozen dataclasses, and the file writers.
+
+``to_json`` turns a dataclass into a dict of its fields, leaving out fields
+that are ``None``; tuples become lists, frozensets sorted lists, and dict
+keys are kept. ``from_json`` reverses it from the field type hints: a key
+that is absent takes the field's default, and a value that is already an
+instance of its type passes through. Files are written to ``<name>.tmp``
+and renamed into place, so a reader never sees half a file.
+"""
+
+from __future__ import annotations
+
+import csv
+import dataclasses
+import io
+import json
+import os
+import types
+import typing
+from pathlib import Path
+
+
+def to_json(obj):
+    if dataclasses.is_dataclass(obj):
+        return {
+            f.name: to_json(v)
+            for f in dataclasses.fields(obj)
+            if (v := getattr(obj, f.name)) is not None
+        }
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, frozenset):
+        return sorted(to_json(v) for v in obj)
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    return obj
+
+
+def from_json(tp, data):
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is None and isinstance(data, tp):
+        return data
+    if (dataclasses.is_dataclass(tp) or origin is dict) and not isinstance(data, dict):
+        raise TypeError(f"expected a JSON object for {tp}, got {type(data).__name__}")
+    if dataclasses.is_dataclass(tp):
+        hints = typing.get_type_hints(tp)
+        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(tp)})
+        if unknown:
+            raise ValueError(f"unknown {tp.__name__} keys {unknown}")
+        return tp(**{k: from_json(hints[k], v) for k, v in data.items()})
+    if origin in (typing.Union, types.UnionType):
+        if data is None:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return from_json(inner, data)
+    if origin in (tuple, frozenset):
+        return origin(from_json(args[0], v) for v in data)
+    if origin is dict:
+        return {args[0](k): from_json(args[1], v) for k, v in data.items()}
+    return data
+
+
+def write_json(path, obj) -> None:
+    """Write ``to_json(obj)`` as sorted, indented JSON with a final newline."""
+    _write_atomic(path, json.dumps(to_json(obj), sort_keys=True, indent=2) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(path, buf.getvalue())
+
+
+def _write_atomic(path, text: str) -> None:
+    p = Path(path)
+    tmp = p.with_name(p.name + ".tmp")
+    try:
+        # newline="" writes csv's \r\n row endings untranslated
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, p)
+    except OSError as exc:
+        raise OSError(f"cannot write {p}: {exc}") from exc

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -10,16 +9,9 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_position
-from .calibration import (
-    ThetaTable,
-    cached_theta_table,
-    faking_from_dict,
-    faking_to_dict,
-    load_theta_table,
-    region_from_dict,
-    region_to_dict,
-)
+from .calibration import ThetaTable, cached_theta_table, load_theta_table
 from .channel import SignalParams, ideal_received_power
+from .codec import from_json, to_json, write_csv, write_json
 from .protocol import (
     FilterResult,
     Node,
@@ -67,6 +59,13 @@ class NoiseMode:
         elif self.sigma is not None:
             raise ValueError(f"{self.mode} noise derives sigma; do not pass one")
 
+    def sigma_for(self, signal: SignalParams, region: Region) -> float:
+        """The channel sigma this mode gives ``signal`` over ``region``."""
+        if self.mode == "explicit":
+            return float(self.sigma)
+        scale = compute_noise_scale(signal, region)
+        return NEGLIGIBLE_FACTOR * scale if self.mode == "negligible" else scale
+
 
 def compute_noise_scale(signal: SignalParams, region: Region) -> float:
     """One third of the ideal received power across the region diagonal.
@@ -111,64 +110,30 @@ class ExperimentConfig:
         return self.n - self.n0
 
     def noise_sigma(self) -> float:
-        if self.noise_mode.mode == "explicit":
-            return float(self.noise_mode.sigma)
-        scale = compute_noise_scale(self.signal, self.region)
-        if self.noise_mode.mode == "negligible":
-            return NEGLIGIBLE_FACTOR * scale
-        return scale
+        return self.noise_mode.sigma_for(self.signal, self.region)
 
     def resolved_signal(self) -> SignalParams:
         return replace(self.signal, noise_sigma=self.noise_sigma())
 
 
-def noise_mode_to_dict(m: NoiseMode) -> dict:
-    d: dict = {"mode": m.mode}
-    if m.sigma is not None:
-        d["sigma"] = m.sigma
+def config_to_dict(c: ExperimentConfig) -> dict:
+    """The config file layout: ``signal`` without ``noise_sigma`` (noise is
+    set through ``noise_mode``), and the calibration sample counts nested
+    as ``calibration: {positions, sets}``."""
+    d = to_json(c)
+    del d["signal"]["noise_sigma"]
+    d["calibration"] = {
+        "positions": d.pop("calibration_positions"),
+        "sets": d.pop("calibration_sets"),
+    }
     return d
 
 
-def noise_mode_from_dict(d: dict) -> NoiseMode:
-    return NoiseMode(d["mode"], d.get("sigma"))
-
-
-def config_to_dict(c: ExperimentConfig) -> dict:
-    return {
-        "n": c.n,
-        "n0": c.n0,
-        "region": region_to_dict(c.region),
-        "signal": {
-            "transmit_power": c.signal.transmit_power,
-            "wavelength": c.signal.wavelength,
-            "path_loss_exponent": c.signal.path_loss_exponent,
-        },
-        "noise_mode": noise_mode_to_dict(c.noise_mode),
-        "faking": faking_to_dict(c.faking),
-        "filter_mode": c.filter_mode,
-        "theta_source": c.theta_source,
-        "seed": c.seed,
-        "trials": c.trials,
-        "calibration": {"positions": c.calibration_positions, "sets": c.calibration_sets},
-    }
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
-    cal = d.get("calibration", {})
-    return ExperimentConfig(
-        n=d["n"],
-        n0=d["n0"],
-        region=region_from_dict(d["region"]),
-        signal=SignalParams(noise_sigma=0.0, **d["signal"]),
-        noise_mode=noise_mode_from_dict(d["noise_mode"]),
-        faking=faking_from_dict(d["faking"]),
-        filter_mode=d.get("filter_mode", "standard"),
-        theta_source=d.get("theta_source", RECALIBRATE),
-        seed=d.get("seed", 0),
-        trials=d.get("trials", 1),
-        calibration_positions=cal.get("positions", 25),
-        calibration_sets=cal.get("sets", 20),
-    )
+    d = dict(d)
+    calibration = from_json(dict[str, int], d.pop("calibration", {}))
+    d.update({f"calibration_{k}": v for k, v in calibration.items()})
+    return from_json(ExperimentConfig, d)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -241,27 +206,6 @@ class TrialRecord:
     genuine_retained: int
     success: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "seed": self.seed,
-            "result": self.result.to_dict(),
-            "malicious_removed": self.malicious_removed,
-            "genuine_retained": self.genuine_retained,
-            "success": self.success,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialRecord":
-        return cls(
-            d["trial"],
-            d["seed"],
-            FilterResult.from_dict(d["result"]),
-            d["malicious_removed"],
-            d["genuine_retained"],
-            d["success"],
-        )
-
 
 @dataclass(frozen=True)
 class StepRow:
@@ -274,21 +218,6 @@ class StepRow:
     genuine_deleted: int
     malicious_deleted: int
     deleted_approvals: str
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "genuine_active": self.genuine_active,
-            "malicious_active": self.malicious_active,
-            "threshold": self.threshold,
-            "genuine_deleted": self.genuine_deleted,
-            "malicious_deleted": self.malicious_deleted,
-            "deleted_approvals": self.deleted_approvals,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StepRow":
-        return cls(**d)
 
     def csv_cells(self) -> list[str]:
         return [
@@ -346,32 +275,25 @@ class ExperimentReport:
     step_table: tuple[StepRow, ...]
 
 
+# report layout: these fields are grouped under "theta" and "aggregate"
+_THETA_KEYS = ("theta_star", "schedule")
+_AGGREGATE_KEYS = ("success_rate", "mean_genuine_retained", "mean_rounds", "step_table")
+
+
 def report_to_dict(r: ExperimentReport) -> dict:
-    return {
-        "config": config_to_dict(r.config),
-        "theta": {"theta_star": r.theta_star, "schedule": list(r.schedule)},
-        "per_trial": [t.to_dict() for t in r.per_trial],
-        "aggregate": {
-            "success_rate": r.success_rate,
-            "mean_genuine_retained": r.mean_genuine_retained,
-            "mean_rounds": r.mean_rounds,
-            "step_table": [s.to_dict() for s in r.step_table],
-        },
-    }
+    d = to_json(r)
+    d["config"] = config_to_dict(r.config)
+    d["theta"] = {k: d.pop(k) for k in _THETA_KEYS}
+    d["aggregate"] = {k: d.pop(k) for k in _AGGREGATE_KEYS}
+    return d
 
 
 def report_from_dict(d: dict) -> ExperimentReport:
-    agg = d["aggregate"]
-    return ExperimentReport(
-        config=config_from_dict(d["config"]),
-        theta_star=d["theta"]["theta_star"],
-        schedule=tuple(d["theta"]["schedule"]),
-        per_trial=tuple(TrialRecord.from_dict(t) for t in d["per_trial"]),
-        success_rate=agg["success_rate"],
-        mean_genuine_retained=agg["mean_genuine_retained"],
-        mean_rounds=agg["mean_rounds"],
-        step_table=tuple(StepRow.from_dict(s) for s in agg["step_table"]),
-    )
+    d = dict(d)
+    d.update(d.pop("theta"))
+    d.update(d.pop("aggregate"))
+    d["config"] = config_from_dict(d["config"])
+    return from_json(ExperimentReport, d)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -425,20 +347,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:
     """Write the report: ``json`` round-trips, ``csv`` is the step table."""
-    if fmt not in ("csv", "json"):
+    if fmt == "json":
+        write_json(path, report_to_dict(report))
+    elif fmt == "csv":
+        write_csv(path, CSV_COLUMNS, (row.csv_cells() for row in report.step_table))
+    else:
         raise ValueError(f"unknown report format {fmt!r}")
-    p = Path(path)
-    try:
-        if fmt == "json":
-            p.write_text(json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n")
-        else:
-            with open(p, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_COLUMNS)
-                for row in report.step_table:
-                    writer.writerow(row.csv_cells())
-    except OSError as exc:
-        raise OSError(f"cannot write report to {p}: {exc}") from exc
 
 
 def load_report(path) -> ExperimentReport:

@@ -10,7 +10,6 @@ not wiped out by the full allowance in one blow.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,9 +17,6 @@ import numpy as np
 
 from .calibration import ThetaTable, threshold
 from .channel import SignalParams, _approve_mask, ideal_received_power
-
-_MATRIX_MAGIC = b"PVAM"
-_MATRIX_VERSION = 1
 
 
 class NodeKind(Enum):
@@ -70,34 +66,6 @@ class AccusationMatrix:
 
     def index(self, node_id: int) -> int:
         return self.ids.index(node_id)
-
-    def to_dict(self) -> dict:
-        return {"ids": list(self.ids), "accuses": self.accuses.astype(int).tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AccusationMatrix":
-        return cls(tuple(d["ids"]), np.asarray(d["accuses"], dtype=bool))
-
-    def to_bytes(self) -> bytes:
-        """Compact binary form: header, ids, then bit-packed rows."""
-        n = len(self.ids)
-        head = _MATRIX_MAGIC + struct.pack("<BI", _MATRIX_VERSION, n)
-        ids = np.asarray(self.ids, dtype="<i8").tobytes()
-        rows = np.packbits(self.accuses, axis=1).tobytes()
-        return head + ids + rows
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "AccusationMatrix":
-        if blob[:4] != _MATRIX_MAGIC:
-            raise ValueError("not an accusation-matrix blob")
-        version, n = struct.unpack("<BI", blob[4:9])
-        if version != _MATRIX_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        ids_end = 9 + 8 * n
-        ids = tuple(int(v) for v in np.frombuffer(blob[9:ids_end], dtype="<i8"))
-        packed = np.frombuffer(blob[ids_end:], dtype=np.uint8).reshape(n, -1)
-        grid = np.unpackbits(packed, axis=1)[:, :n].astype(bool)
-        return cls(ids, grid)
 
 
 def accuse_approve(nodes: list[Node], params: SignalParams, seed: int) -> AccusationMatrix:
@@ -164,46 +132,12 @@ class FilterRound:
     removed_ids: tuple[int, ...]
     removed_approvals: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "active_before": self.active_before,
-            "threshold": self.threshold,
-            "removed_ids": list(self.removed_ids),
-            "removed_approvals": list(self.removed_approvals),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterRound":
-        return cls(
-            d["step"],
-            d["active_before"],
-            d["threshold"],
-            tuple(d["removed_ids"]),
-            tuple(d["removed_approvals"]),
-        )
-
 
 @dataclass(frozen=True)
 class FilterResult:
     rounds: tuple[FilterRound, ...]
     final_genuine_set: frozenset[int]
     final_filtered_set: frozenset[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "rounds": [r.to_dict() for r in self.rounds],
-            "final_genuine_set": sorted(self.final_genuine_set),
-            "final_filtered_set": sorted(self.final_filtered_set),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterResult":
-        return cls(
-            tuple(FilterRound.from_dict(r) for r in d["rounds"]),
-            frozenset(d["final_genuine_set"]),
-            frozenset(d["final_filtered_set"]),
-        )
 
 
 def _run_schedule(matrix: AccusationMatrix, thetas) -> FilterResult:

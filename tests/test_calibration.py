@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,38 @@ class TestPersistence:
         second = cached_theta_table(**kwargs)
         assert second == first
         assert files[0].stat().st_mtime_ns == mtime  # untouched, so it was a hit
+
+    def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
+        kwargs = dict(
+            params=sig_params(), region=REGION, n=6, num_x0=2, num_x_per_x0=2,
+            config=FAKING, seed=3, directory=tmp_path,
+        )
+        first = cached_theta_table(**kwargs)
+        (path,) = tmp_path.glob("theta_n6_*.json")
+        path.write_text(path.read_text()[:60])
+        with pytest.warns(UserWarning, match=re.escape(str(path))):
+            assert cached_theta_table(**kwargs) == first
+        assert load_theta_table(path) == first
+
+    def test_cache_entry_for_other_inputs_is_recomputed(self, tmp_path):
+        kwargs = dict(
+            params=sig_params(), region=REGION, n=6, num_x0=3, num_x_per_x0=2,
+            config=FAKING, seed=42, directory=tmp_path,
+        )
+        first = cached_theta_table(**kwargs)
+        (path,) = tmp_path.glob("theta_n6_*.json")
+        path.write_text(json.dumps(table_to_dict(small_table(seed=7))))
+        with pytest.warns(UserWarning, match="made for other inputs"):
+            assert cached_theta_table(**kwargs) == first
+
+    def test_load_names_a_bad_file(self, tmp_path):
+        path = save_theta_table(small_table(), tmp_path)
+        path.write_text(path.read_text()[:60])
+        with pytest.raises(ValueError, match=f"bad theta table {re.escape(str(path))}"):
+            load_theta_table(path)
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="bad theta table"):
+            load_theta_table(path)
 
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "alt"))

@@ -38,11 +38,6 @@ class TestSignalParams:
         p = default_params()
         assert p.alpha == pytest.approx(0.125 / (4 * math.pi), rel=1e-15)
 
-    def test_from_alpha_round_trips(self):
-        p = SignalParams.from_alpha(1.0, 0.5, noise_sigma=0.1)
-        assert p.alpha == pytest.approx(0.5, rel=1e-12)
-        assert p.noise_sigma == 0.1
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -62,7 +57,7 @@ class TestSignalParams:
 class TestIdealPower:
     def test_generalized_exponent_example(self):
         # S=4, alpha=0.5, m=4, d=2  ->  4 * (0.5/2)**4 = 0.015625
-        p = SignalParams.from_alpha(4.0, 0.5, path_loss_exponent=4.0)
+        p = SignalParams(4.0, 0.5 * 4 * math.pi, path_loss_exponent=4.0)
         assert ideal_received_power(p, 2.0) == pytest.approx(0.015625, abs=1e-15)
 
     def test_strictly_decreasing_in_distance(self):
@@ -106,14 +101,14 @@ class TestEstimate:
 class TestAcceptanceInterval:
     def test_worked_ratio_half(self):
         # 3*sigma*d^2/(alpha^2 S) = 0.5 at d=1  ->  [1/sqrt(1.5), 1/sqrt(0.5)]
-        p = SignalParams.from_alpha(1.0, 1.0, noise_sigma=0.5 / 3.0)
+        p = SignalParams(1.0, 1.0 * 4 * math.pi, noise_sigma=0.5 / 3.0)
         iv = acceptance_interval(p, 1.0)
         assert iv.lower == pytest.approx(1 / math.sqrt(1.5), rel=1e-12)
         assert iv.upper == pytest.approx(1 / math.sqrt(0.5), rel=1e-12)
 
     def test_worked_ratio_beyond_one_unbounded(self):
         # ratio 1.2 leaves no positive power floor: upper bound is infinite
-        p = SignalParams.from_alpha(1.0, 1.0, noise_sigma=1.2 / 3.0)
+        p = SignalParams(1.0, 1.0 * 4 * math.pi, noise_sigma=1.2 / 3.0)
         iv = acceptance_interval(p, 1.0)
         assert iv.lower == pytest.approx(1 / math.sqrt(2.2), rel=1e-12)
         assert math.isinf(iv.upper)
@@ -191,7 +186,7 @@ class TestDeceptionProbability:
     def test_unbounded_interval_branch_integrates_to_positive_power_event(self):
         # claim far enough that the interval upper bound is infinite: the
         # acceptance event becomes "reading positive and below the ceiling"
-        p = SignalParams.from_alpha(1.0, 1.0, noise_sigma=0.4)
+        p = SignalParams(1.0, 1.0 * 4 * math.pi, noise_sigma=0.4)
         assert math.isinf(acceptance_interval(p, 2.0).upper)
         got = deception_probability(p, 1.5, 2.0)
         ideal = ideal_received_power(p, 1.5)

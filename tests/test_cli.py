@@ -61,6 +61,14 @@ class TestRun:
         assert code == 0
         assert out.read_text().startswith("step,")
 
+    def test_corrupt_cache_entry_recomputed(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "cache"))
+        assert main(["run", "--config", str(config_path)]) == 0
+        (table,) = (tmp_path / "cache").glob("theta_n8_*.json")
+        table.write_text(table.read_text()[:60])
+        with pytest.warns(UserWarning, match="recomputing"):
+            assert main(["run", "--config", str(config_path)]) == 0
+
     def test_missing_config_fails(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err

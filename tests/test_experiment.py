@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -93,6 +94,7 @@ class TestNoiseMode:
         expl = tiny_config(noise_mode=NoiseMode("explicit", 0.25))
         assert expl.noise_sigma() == 0.25
         assert expl.resolved_signal().noise_sigma == 0.25
+        assert NoiseMode("negligible").sigma_for(cfg.signal, cfg.region) == neg.noise_sigma()
 
 
 class TestConfigValidation:
@@ -128,6 +130,28 @@ class TestConfigSerialization:
         for name, cfg in PRESETS.items():
             assert config_from_dict(config_to_dict(cfg)) == cfg, name
 
+    @pytest.mark.parametrize(
+        "key,field,default",
+        [
+            ("calibration", "calibration_positions", 25),
+            ("calibration", "calibration_sets", 20),
+            ("filter_mode", "filter_mode", "standard"),
+            ("theta_source", "theta_source", "recalibrate"),
+            ("seed", "seed", 0),
+            ("trials", "trials", 1),
+        ],
+    )
+    def test_absent_keys_take_defaults(self, key, field, default):
+        d = config_to_dict(tiny_config(filter_mode="quantile", theta_source="t.json"))
+        del d[key]
+        assert getattr(config_from_dict(d), field) == default
+
+    def test_unknown_key_rejected(self):
+        d = config_to_dict(tiny_config())
+        d["trails"] = 5
+        with pytest.raises(ValueError, match="trails"):
+            config_from_dict(d)
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = tiny_config()
@@ -149,6 +173,12 @@ class TestConfigSerialization:
         d = config_to_dict(tiny_config())
         del d["region"]
         path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match="bad config"):
+            load_config(path)
+
+    def test_load_config_calibration_not_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config_to_dict(tiny_config()), "calibration": 5}))
         with pytest.raises(ValueError, match="bad config"):
             load_config(path)
 
@@ -199,6 +229,12 @@ class TestThetaSource:
         bigger = replace(cfg, n=12, theta_source=str(path))
         with pytest.raises(ValueError, match="n=10"):
             resolve_theta_table(bigger)
+
+    def test_truncated_file_source_named(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text('{"n": 10, "theta_star": ')
+        with pytest.raises(ValueError, match=f"bad theta table {re.escape(str(path))}"):
+            resolve_theta_table(tiny_config(theta_source=str(path)))
 
 
 # voters 0,1 accuse {3,4}; 2 accuses {3}; 3 accuses {0,1,2}; 4 accuses {3}.

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import CalibrationMeta, ThetaTable
 from posverify.channel import TRUTHFUL_ACCEPT_PROB, SignalParams, ideal_received_power
+from posverify.codec import from_json, to_json
 from posverify.protocol import (
     AccusationMatrix,
     FilterResult,
@@ -94,19 +97,6 @@ class TestAccusationMatrix:
     def test_rejects_duplicate_ids(self):
         with pytest.raises(ValueError):
             AccusationMatrix((0, 0, 2), np.zeros((3, 3), dtype=bool))
-
-    def test_json_round_trip(self):
-        m = random_matrix(np.random.default_rng(0), 6)
-        assert AccusationMatrix.from_dict(m.to_dict()) == m
-
-    def test_bytes_round_trip(self):
-        for n in (2, 5, 8, 9, 17):
-            m = random_matrix(np.random.default_rng(n), n)
-            assert AccusationMatrix.from_bytes(m.to_bytes()) == m
-
-    def test_bytes_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            AccusationMatrix.from_bytes(b"nonsense here")
 
 
 class TestAccuseApprove:
@@ -283,5 +273,5 @@ class TestQuantileFilter:
 class TestFilterResultSerialization:
     def test_round_trip(self):
         res = filter_fixpoint(cascade_matrix(), 1.0)
-        back = FilterResult.from_dict(res.to_dict())
+        back = from_json(FilterResult, json.loads(json.dumps(to_json(res))))
         assert back == res
