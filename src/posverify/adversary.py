@@ -192,6 +192,44 @@ def _lex_best(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float
     return tied[order[0]], float(vmax)
 
 
+def _refine(
+    params: SignalParams,
+    region: Region,
+    x0: np.ndarray,
+    gp: np.ndarray,
+    config: FakingSearchConfig,
+    pts: np.ndarray,
+    vals: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy compass walk with step halving from each start, in lockstep.
+
+    Each iteration every start moves to its best feasible compass neighbour
+    (ties toward the lowest (x, y)) if that beats its value, and halves its
+    step otherwise. All starts' moves are scored in one batch.
+    """
+    pts, vals = pts.copy(), vals.copy()
+    rows = np.arange(len(pts))
+    steps = np.full(len(pts), config.grid_step / 2.0)
+    for _ in range(config.refine_iters):
+        moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
+        dist = np.hypot(moves[..., 0] - x0[0], moves[..., 1] - x0[1])
+        ok = (dist >= config.exclusion_radius) & region.contains(moves)
+        mvals = np.full(ok.shape, -np.inf)
+        if ok.any():
+            mvals[ok] = _theta_batch(params, x0, gp, moves[ok])
+        # a batch of one point sums its receivers in numpy's pairwise order,
+        # wider batches column by column; score a start with a single
+        # feasible move alone so its value does not depend on the others
+        for i in np.flatnonzero(ok.sum(axis=1) == 1):
+            mvals[i, ok[i]] = _theta_batch(params, x0, gp, moves[i][ok[i]])
+        best = np.lexsort((moves[..., 1], moves[..., 0], -mvals), axis=1)[:, 0]
+        cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
+        up = cand_vals > vals
+        pts[up], vals[up] = cand_pts[up], cand_vals[up]
+        steps[~up] /= 2.0
+    return pts, vals
+
+
 def optimize_fake_position(
     params: SignalParams,
     region: Region,
@@ -240,21 +278,8 @@ def optimize_fake_position(
     starts = order[:REFINE_STARTS]
 
     best_pt, best_val = _lex_best(cands[starts], values[starts])
-    for idx in starts:
-        pt, val = cands[idx], float(values[idx])
-        step = config.grid_step / 2.0
-        for _ in range(config.refine_iters):
-            moves = region.clip(pt[None, :] + step * _COMPASS)
-            moves = _feasible(region, x0, config.exclusion_radius, moves)
-            if moves.shape[0] == 0:
-                step /= 2.0
-                continue
-            mvals = _theta_batch(params, x0, gp, moves)
-            cand_pt, cand_val = _lex_best(moves, mvals)
-            if cand_val > val:
-                pt, val = cand_pt, cand_val
-            else:
-                step /= 2.0
+    pts, vals = _refine(params, region, x0, gp, config, cands[starts], values[starts])
+    for pt, val in zip(pts, vals.tolist()):
         if val > best_val or (val == best_val and tuple(pt) < tuple(best_pt)):
             best_pt, best_val = pt, val
 

@@ -5,6 +5,8 @@ from scipy.stats import norm
 from posverify.adversary import (
     FakingSearchConfig,
     Region,
+    _refine,
+    _theta_batch,
     optimize_fake_position,
     theta_for_fake,
 )
@@ -174,6 +176,23 @@ class TestOptimizer:
         a = optimize_fake_position(params, REGION, x0, gp, cfg)
         b = optimize_fake_position(params, REGION, x0, gp, cfg)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_lockstep_refinement_matches_each_start_alone(self, seed):
+        # the starts walk in one batch; each must end exactly where its own
+        # walk would, so batching cannot move the chosen fake by an ulp
+        params = make_params(2e-9)
+        rng = np.random.default_rng(seed)
+        gp = REGION.sample(rng, 12)
+        x0 = REGION.sample(rng, 1)[0]
+        cfg = FakingSearchConfig(exclusion_radius=7.0, grid_step=5.0)
+        starts = np.concatenate([REGION.sample(rng, 4), [[100.0, 100.0]]])
+        vals = _theta_batch(params, x0, gp, starts)
+        pts, out = _refine(params, REGION, x0, gp, cfg, starts, vals)
+        for i in range(len(starts)):
+            alone = _refine(params, REGION, x0, gp, cfg, starts[i : i + 1], vals[i : i + 1])
+            assert pts[i].tolist() == alone[0][0].tolist()
+            assert out[i] == alone[1][0]
 
     def test_all_zero_objective_breaks_ties_lexicographically(self):
         # bands this thin make every off-circle candidate score exactly zero,
