@@ -5,7 +5,13 @@ received signal strength and a mutual-voting filter removes nodes whose
 claims too few neighbors can corroborate. No node is trusted up front.
 """
 
-from .adversary import FakingOutcome, FakingSearchConfig, Region, optimize_fake_position
+from .adversary import (
+    FakingOutcome,
+    FakingSearchConfig,
+    Region,
+    optimize_fake_position,
+    optimize_fake_positions,
+)
 from .calibration import (
     ThetaTable,
     cached_theta_table,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SignalParams, _deception_prob_arrays
+from .channel import SignalParams, _deception_prob_arrays, ideal_received_power
 
 # Candidate-generation constants: samples per distance circle, and how many
 # top-scoring candidates get their own pattern-search refinement.
@@ -103,29 +103,90 @@ class FakingOutcome:
     per_node_probs: tuple[float, ...]
 
 
-def _true_distances(true_position, genuine_positions) -> tuple[np.ndarray, np.ndarray]:
-    x0 = np.asarray(true_position, dtype=float).reshape(2)
+# scipy's ndtr is exactly 0.0 for z <= -38.5 and exactly 1.0 for z >= 8.3.
+# When a claim's ideal power lies more than _BAND_BELOW noise sigmas under
+# the receiver's true ideal power, both ends of its 3-sigma window sit at
+# z <= -45; more than _BAND_ABOVE sigmas over it, both sit at z >= 14.8.
+# Either way the deception probability is exactly 0.0, with 6.5 sigmas to
+# spare. _BAND_SLACK widens the band in distance to cover rounding, which
+# dominates when sigma is far below the float resolution of the powers.
+_BAND_BELOW = 48.0
+_BAND_ABOVE = 17.8
+_BAND_SLACK = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class _Receivers:
+    """One genuine set as seen from each faker's true position.
+
+    ``r``, ``near2`` and ``far2`` are (receivers, fakers): the true
+    distances, and the squared claimed distances outside of which a claim
+    deceives the receiver with probability exactly 0.0.
+    """
+
+    gp: np.ndarray
+    x0: np.ndarray
+    r: np.ndarray
+    near2: np.ndarray
+    far2: np.ndarray
+
+
+def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Receivers:
+    x0 = np.asarray(true_positions, dtype=float).reshape(-1, 2)
     gp = np.asarray(genuine_positions, dtype=float).reshape(-1, 2)
     if gp.shape[0] == 0:
         raise ValueError("need at least one genuine position")
-    r = np.hypot(gp[:, 0] - x0[0], gp[:, 1] - x0[1])
+    r = np.hypot(gp[:, 0, None] - x0[None, :, 0], gp[:, 1, None] - x0[None, :, 1])
     if np.any(r <= 0):
         raise ValueError("a genuine node coincides with the faker's true position")
-    return x0, r
+    # claimed distance c has ideal power ideal(r) * (r/c)**m, so the power
+    # band [ideal(r) - below*sigma, ideal(r) + above*sigma] maps to
+    # [r * (1 + above*q)**(-1/m), r * (1 - below*q)**(-1/m)], q = sigma/ideal(r)
+    m = params.path_loss_exponent
+    with np.errstate(over="ignore", divide="ignore"):  # an edge may go to 0 or inf
+        q = params.noise_sigma / ideal_received_power(params, r)
+        near = r * (1.0 + _BAND_ABOVE * q) ** (-1.0 / m) * (1.0 - _BAND_SLACK)
+        bounded = _BAND_BELOW * q < 1.0
+    far = np.full_like(r, np.inf)
+    far[bounded] = (
+        r[bounded] * (1.0 - _BAND_BELOW * q[bounded]) ** (-1.0 / m) * (1.0 + _BAND_SLACK)
+    )
+    return _Receivers(gp, x0, r, near * near, far * far)
 
 
-def _theta_batch(
-    params: SignalParams, true_position, genuine_positions, points: np.ndarray
-) -> np.ndarray:
-    """Expected number of deceived receivers for each candidate point."""
-    _, r = _true_distances(true_position, genuine_positions)
-    gp = np.asarray(genuine_positions, dtype=float).reshape(-1, 2)
+def _theta_batch(params: SignalParams, rx: _Receivers, points, owner) -> np.ndarray:
+    """Expected number of deceived receivers for each point.
+
+    Point p is claimed by faker ``owner[p]``; a scalar ``owner`` claims
+    them all. Only (receiver, point) pairs inside that faker's band reach
+    the channel. Every other pair scores exactly 0.0, as it would if
+    scored, so the sums are bit-identical to scoring every pair.
+    """
+    # temporaries are freed as soon as they are spent, so the peak stays
+    # below that of scoring every pair even when most pairs are in the band
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    claimed = np.hypot(gp[:, 0, None] - pts[:, 0][None, :], gp[:, 1, None] - pts[:, 1][None, :])
-    probs = _deception_prob_arrays(params, r[:, None], claimed)
+    bands = np.reshape(owner, -1)  # one faker's column for all points, or one per point
+    d2 = np.subtract.outer(rx.gp[:, 0], pts[:, 0])
+    d2 *= d2
+    dy2 = np.subtract.outer(rx.gp[:, 1], pts[:, 1])
+    dy2 *= dy2
+    d2 += dy2
+    del dy2
+    inside = d2 >= rx.near2[:, bands]
+    inside &= d2 <= rx.far2[:, bands]
+    del d2
+    rows, cols = np.divmod(np.flatnonzero(inside), len(pts))
+    claimed = np.hypot(rx.gp[rows, 0] - pts[cols, 0], rx.gp[rows, 1] - pts[cols, 1])
+    true = rx.r[rows, owner if np.ndim(owner) == 0 else owner[cols]]
+    del rows, cols
+    probs = _deception_prob_arrays(params, true, claimed)
+    del true
     # a claim of exactly zero distance to some receiver can never be ranged
-    probs = np.where(claimed > 0, probs, 0.0)
-    return probs.sum(axis=0)
+    probs[~(claimed > 0)] = 0.0
+    del claimed
+    out = np.zeros(inside.shape)
+    out[inside] = probs
+    return out.sum(axis=0)
 
 
 def theta_for_fake(
@@ -136,8 +197,8 @@ def theta_for_fake(
     Sums, over receivers, the probability that the claimed distance passes
     the receiver's 3-sigma check given the true one.
     """
-    val = _theta_batch(params, true_position, genuine_positions, np.asarray(fake_position, float).reshape(1, 2))
-    return float(val[0])
+    rx = _receivers(params, true_position, genuine_positions)
+    return float(_theta_batch(params, rx, fake_position, 0)[0])
 
 
 def _pair_reflections(x0: np.ndarray, gp: np.ndarray) -> np.ndarray:
@@ -195,39 +256,121 @@ def _lex_best(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float
 def _refine(
     params: SignalParams,
     region: Region,
-    x0: np.ndarray,
-    gp: np.ndarray,
+    rx: _Receivers,
     config: FakingSearchConfig,
     pts: np.ndarray,
     vals: np.ndarray,
+    owner: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy compass walk with step halving from each start, in lockstep.
 
-    Each iteration every start moves to its best feasible compass neighbour
-    (ties toward the lowest (x, y)) if that beats its value, and halves its
-    step otherwise. All starts' moves are scored in one batch.
+    Start i searches for faker ``owner[i]``. Each iteration every start
+    moves to its best feasible compass neighbour (ties toward the lowest
+    (x, y)) if that beats its value, and halves its step otherwise. All
+    starts' moves are scored in one batch.
     """
     pts, vals = pts.copy(), vals.copy()
     rows = np.arange(len(pts))
     steps = np.full(len(pts), config.grid_step / 2.0)
+    x0 = rx.x0[owner]
+    move_owner = np.broadcast_to(owner[:, None], (len(pts), len(_COMPASS)))
     for _ in range(config.refine_iters):
         moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
-        dist = np.hypot(moves[..., 0] - x0[0], moves[..., 1] - x0[1])
+        dist = np.hypot(moves[..., 0] - x0[:, 0, None], moves[..., 1] - x0[:, 1, None])
         ok = (dist >= config.exclusion_radius) & region.contains(moves)
         mvals = np.full(ok.shape, -np.inf)
-        if ok.any():
-            mvals[ok] = _theta_batch(params, x0, gp, moves[ok])
         # a batch of one point sums its receivers in numpy's pairwise order,
         # wider batches column by column; score a start with a single
         # feasible move alone so its value does not depend on the others
-        for i in np.flatnonzero(ok.sum(axis=1) == 1):
-            mvals[i, ok[i]] = _theta_batch(params, x0, gp, moves[i][ok[i]])
+        n_ok = ok.sum(axis=1)
+        wide = ok & (n_ok > 1)[:, None]
+        if wide.any():
+            mvals[wide] = _theta_batch(params, rx, moves[wide], move_owner[wide])
+        for i in np.flatnonzero(n_ok == 1):
+            mvals[i, ok[i]] = _theta_batch(params, rx, moves[i][ok[i]], owner[i])
         best = np.lexsort((moves[..., 1], moves[..., 0], -mvals), axis=1)[:, 0]
         cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
         up = cand_vals > vals
         pts[up], vals[up] = cand_pts[up], cand_vals[up]
         steps[~up] /= 2.0
     return pts, vals
+
+
+def optimize_fake_positions(
+    params: SignalParams,
+    region: Region,
+    true_positions,
+    genuine_positions,
+    config: FakingSearchConfig,
+) -> list[FakingOutcome]:
+    """Best position to claim from each of ``true_positions``, by expected
+    deceptions of the one shared set of genuine receivers.
+
+    Deterministic search, per faker: a coarse grid over the region, plus
+    geometry candidates (pairwise circle crossings and points on each
+    equal-range circle, which carry the optima when the noise band is too
+    thin for any grid), filtered to the feasible set, then greedy compass
+    refinement with step halving from the top few candidates. All fakers'
+    refinements walk in lockstep, in groups whose batches hold no more
+    points than the smallest candidate set; each faker gets exactly the
+    outcome it would get searched alone.
+    """
+    rx = _receivers(params, true_positions, genuine_positions)
+    corners = np.array(
+        [
+            (region.x_min, region.y_min),
+            (region.x_min, region.y_max),
+            (region.x_max, region.y_min),
+            (region.x_max, region.y_max),
+        ]
+    )
+    grid = _grid_points(region, config.grid_step)
+    best, starts = [], []
+    for f, x0 in enumerate(rx.x0):
+        if not region.contains(x0):
+            raise ValueError("true_position lies outside the region")
+        corner_dist = np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1])
+        if corner_dist.max() < config.exclusion_radius:
+            raise ValueError("exclusion ball covers the whole region; no feasible fake exists")
+        cands = np.concatenate(
+            [grid, _pair_reflections(x0, rx.gp), _circle_points(x0, rx.gp, rx.r[:, f])]
+        )
+        cands = _feasible(region, x0, config.exclusion_radius, cands)
+        values = _theta_batch(params, rx, cands, f)
+        # refine from the strongest few starts; cheap insurance against the
+        # greedy walk stalling on a local ridge
+        top = np.lexsort((cands[:, 1], cands[:, 0], -values))[:REFINE_STARTS]
+        best.append(_lex_best(cands[top], values[top]))
+        starts.append((cands[top], values[top], np.full(len(top), f), len(cands)))
+    if not best:
+        return []
+
+    pts, vals, owner, sizes = zip(*starts)
+    pts, vals, owner = np.concatenate(pts), np.concatenate(vals), np.concatenate(owner)
+    group = max(1, min(sizes) // len(_COMPASS))
+    for lo in range(0, len(pts), group):
+        part = slice(lo, lo + group)
+        pts[part], vals[part] = _refine(
+            params, region, rx, config, pts[part], vals[part], owner[part]
+        )
+    for pt, val, f in zip(pts, vals.tolist(), owner.tolist()):
+        best_pt, best_val = best[f]
+        if val > best_val or (val == best_val and tuple(pt) < tuple(best_pt)):
+            best[f] = pt, val
+
+    fakes = np.array([pt for pt, _ in best])
+    claimed = np.hypot(
+        rx.gp[None, :, 0] - fakes[:, 0, None], rx.gp[None, :, 1] - fakes[:, 1, None]
+    )
+    probs = np.where(claimed > 0, _deception_prob_arrays(params, rx.r.T, claimed), 0.0)
+    return [
+        FakingOutcome(
+            fake_position=(float(pt[0]), float(pt[1])),
+            expected_deceived=float(row.sum()),
+            per_node_probs=tuple(float(q) for q in row),
+        )
+        for pt, row in zip(fakes, probs)
+    ]
 
 
 def optimize_fake_position(
@@ -237,56 +380,8 @@ def optimize_fake_position(
     genuine_positions,
     config: FakingSearchConfig,
 ) -> FakingOutcome:
-    """Best position to claim from ``true_position``, by expected deceptions.
-
-    Deterministic search: a coarse grid over the region, plus geometry
-    candidates (pairwise circle crossings and points on each equal-range
-    circle, which carry the optima when the noise band is too thin for any
-    grid), filtered to the feasible set, then greedy compass refinement
-    with step halving from the top few candidates.
-    """
-    x0, r = _true_distances(true_position, genuine_positions)
-    gp = np.asarray(genuine_positions, dtype=float).reshape(-1, 2)
-    if not region.contains(x0):
-        raise ValueError("true_position lies outside the region")
-
-    corners = np.array(
-        [
-            (region.x_min, region.y_min),
-            (region.x_min, region.y_max),
-            (region.x_max, region.y_min),
-            (region.x_max, region.y_max),
-        ]
-    )
-    corner_dist = np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1])
-    if corner_dist.max() < config.exclusion_radius:
-        raise ValueError("exclusion ball covers the whole region; no feasible fake exists")
-
-    cands = np.concatenate(
-        [
-            _grid_points(region, config.grid_step),
-            _pair_reflections(x0, gp),
-            _circle_points(x0, gp, r),
-        ]
-    )
-    cands = _feasible(region, x0, config.exclusion_radius, cands)
-    values = _theta_batch(params, x0, gp, cands)
-
-    # refine from the strongest few starts; cheap insurance against the
-    # greedy walk stalling on a local ridge
-    order = np.lexsort((cands[:, 1], cands[:, 0], -values))
-    starts = order[:REFINE_STARTS]
-
-    best_pt, best_val = _lex_best(cands[starts], values[starts])
-    pts, vals = _refine(params, region, x0, gp, config, cands[starts], values[starts])
-    for pt, val in zip(pts, vals.tolist()):
-        if val > best_val or (val == best_val and tuple(pt) < tuple(best_pt)):
-            best_pt, best_val = pt, val
-
-    claimed = np.hypot(gp[:, 0] - best_pt[0], gp[:, 1] - best_pt[1])
-    probs = np.where(claimed > 0, _deception_prob_arrays(params, r, claimed), 0.0)
-    return FakingOutcome(
-        fake_position=(float(best_pt[0]), float(best_pt[1])),
-        expected_deceived=float(probs.sum()),
-        per_node_probs=tuple(float(q) for q in probs),
-    )
+    """Best position to claim from ``true_position``, by expected deceptions:
+    the one-faker case of ``optimize_fake_positions``."""
+    return optimize_fake_positions(
+        params, region, np.reshape(true_position, (1, 2)), genuine_positions, config
+    )[0]

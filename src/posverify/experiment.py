@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .adversary import FakingSearchConfig, Region, optimize_fake_position
+from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .calibration import ThetaTable, cached_theta_table, load_theta_table
 from .channel import SignalParams, ideal_received_power
 from .codec import from_json, to_json, write_csv, write_json
@@ -169,9 +169,11 @@ def deploy(config: ExperimentConfig, seed: int) -> list[Node]:
         Node(i, NodeKind.GENUINE, tuple(p), tuple(p))
         for i, p in enumerate(genuine_pos.tolist())
     ]
-    for k in range(config.n0, config.n):
+    fakes = optimize_fake_positions(
+        params, config.region, positions[config.n0 :], genuine_pos, config.faking
+    )
+    for k, fake in enumerate(fakes, start=config.n0):
         truth = tuple(positions[k].tolist())
-        fake = optimize_fake_position(params, config.region, truth, genuine_pos, config.faking)
         nodes.append(Node(k, NodeKind.MALICIOUS, truth, fake.fake_position))
     return nodes
 
@@ -184,6 +186,16 @@ def resolve_theta_table(config: ExperimentConfig, workers: int = 1) -> ThetaTabl
             raise ValueError(
                 f"theta table {config.theta_source} is for n={table.n}, config has n={config.n}"
             )
+        # a table from another channel or region holds another adversary's
+        # optimum; faking, sample counts and seed may differ
+        for group, want in (("signal", config.resolved_signal()), ("region", config.region)):
+            have = getattr(table.meta, group)
+            for f in fields(want):
+                if getattr(have, f.name) != getattr(want, f.name):
+                    raise ValueError(
+                        f"theta table {config.theta_source} is for {group}.{f.name}="
+                        f"{getattr(have, f.name)!r}, config has {getattr(want, f.name)!r}"
+                    )
         return table
     return cached_theta_table(
         config.resolved_signal(),
@@ -361,6 +373,8 @@ def load_report(path) -> ExperimentReport:
         return report_from_dict(json.loads(p.read_text()))
     except OSError as exc:
         raise OSError(f"cannot read report {p}: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad report {p}: {exc}") from exc
 
 
 def _preset(n: int, n0: int, noise: str, filter_mode: str, seed: int) -> ExperimentConfig:

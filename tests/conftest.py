@@ -1,10 +1,17 @@
-"""Shared fixtures: one theta cache per session so tables calibrate once."""
+"""Shared fixtures: one theta cache per session so tables calibrate once;
+the hypothesis profile every property test runs under."""
 
 import os
 
 import pytest
+from hypothesis import settings
 
 from posverify.experiment import PRESETS, resolve_theta_table
+
+# the same examples on every run, and no per-example deadline: kernel-heavy
+# examples on a loaded host must not fail on time alone
+settings.register_profile("posverify", derandomize=True, deadline=None)
+settings.load_profile("posverify")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -230,6 +230,38 @@ class TestThetaSource:
         with pytest.raises(ValueError, match="n=10"):
             resolve_theta_table(bigger)
 
+    def test_file_source_from_another_channel(self, tmp_path):
+        # a negligible-noise table would let a significant-noise run trust
+        # an adversary that can barely lie
+        neg = tiny_config(noise_mode=NoiseMode("negligible"))
+        table = estimate_theta_table(
+            neg.resolved_signal(), neg.region, neg.n, 3, 2, neg.faking, seed=1
+        )
+        path = save_theta_table(table, directory=tmp_path)
+        sig = tiny_config(theta_source=str(path))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*signal.noise_sigma"):
+            resolve_theta_table(sig)
+
+    def test_file_source_from_another_region(self, tmp_path):
+        cfg = tiny_config()
+        table = estimate_theta_table(
+            cfg.resolved_signal(), cfg.region, cfg.n, 3, 2, cfg.faking, seed=1
+        )
+        path = save_theta_table(table, directory=tmp_path)
+        # same diagonal, hence the same sigma: only the region differs
+        moved = replace(cfg, region=Region(1.0, 21.0, 0.0, 20.0), theta_source=str(path))
+        with pytest.raises(ValueError, match="region.x_min"):
+            resolve_theta_table(moved)
+
+    def test_file_source_other_search_and_samples_accepted(self, tmp_path):
+        cfg = tiny_config()
+        finer = replace(cfg.faking, grid_step=3.0)
+        table = estimate_theta_table(
+            cfg.resolved_signal(), cfg.region, cfg.n, 2, 2, finer, seed=9
+        )
+        path = save_theta_table(table, directory=tmp_path)
+        assert resolve_theta_table(replace(cfg, theta_source=str(path))) == table
+
     def test_truncated_file_source_named(self, tmp_path):
         path = tmp_path / "table.json"
         path.write_text('{"n": 10, "theta_star": ')
@@ -285,6 +317,12 @@ class TestRunExperiment:
         path = tmp_path / "report.json"
         emit_report(report, "json", path)
         assert load_report(path) == report
+
+    def test_truncated_report_named(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"config": ')
+        with pytest.raises(ValueError, match=f"bad report {re.escape(str(path))}"):
+            load_report(path)
 
     def test_quantile_mode_uses_schedule(self):
         cfg = tiny_config(filter_mode="quantile", trials=1)
