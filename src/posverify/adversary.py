@@ -161,6 +161,11 @@ def _theta_batch(params: SignalParams, rx: _Receivers, points, owner) -> np.ndar
     them all. Only (receiver, point) pairs inside that faker's band reach
     the channel. Every other pair scores exactly 0.0, as it would if
     scored, so the sums are bit-identical to scoring every pair.
+
+    Each point's receivers are summed along contiguous memory, in numpy's
+    pairwise order, which is also the order of a one-point batch and of a
+    per-node probability row's ``sum()``. A point therefore scores the same
+    whatever else is in the batch.
     """
     # temporaries are freed as soon as they are spent, so the peak stays
     # below that of scoring every pair even when most pairs are in the band
@@ -180,11 +185,10 @@ def _theta_batch(params: SignalParams, rx: _Receivers, points, owner) -> np.ndar
     true = rx.r[rows, owner if np.ndim(owner) == 0 else owner[cols]]
     del rows, cols
     probs = _deception_prob_arrays(params, true, claimed)
-    del true
-    # a claim of exactly zero distance to some receiver can never be ranged
-    probs[~(claimed > 0)] = 0.0
-    del claimed
-    out = np.zeros(inside.shape)
+    del true, claimed
+    # column-major, so each point's receivers are contiguous for the sum; the
+    # elementwise work above keeps (receivers, points) for its long rows
+    out = np.zeros(inside.shape, order="F")
     out[inside] = probs
     return out.sum(axis=0)
 
@@ -245,12 +249,10 @@ def _feasible(region: Region, x0: np.ndarray, radius: float, pts: np.ndarray) ->
     return pts[(dist >= radius) & region.contains(pts)]
 
 
-def _lex_best(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Highest value; ties broken toward the lowest (x, y) coordinate."""
-    vmax = values.max()
-    tied = points[values == vmax]
-    order = np.lexsort((tied[:, 1], tied[:, 0]))
-    return tied[order[0]], float(vmax)
+def _ranked(points: np.ndarray, values: np.ndarray, *major) -> np.ndarray:
+    """Indices that order the last axis by the ``major`` keys, then by
+    highest value, then by lowest (x, y): the search's one ranking rule."""
+    return np.lexsort((points[..., 1], points[..., 0], -values, *reversed(major)), axis=-1)
 
 
 def _refine(
@@ -265,9 +267,10 @@ def _refine(
     """Greedy compass walk with step halving from each start, in lockstep.
 
     Start i searches for faker ``owner[i]``. Each iteration every start
-    moves to its best feasible compass neighbour (ties toward the lowest
-    (x, y)) if that beats its value, and halves its step otherwise. All
-    starts' moves are scored in one batch.
+    moves to its best feasible compass neighbour by ``_ranked`` if that
+    beats its value, and halves its step otherwise. All starts' moves are
+    scored in one batch; since ``_theta_batch`` sums each point in one
+    order, each start walks exactly as it would alone.
     """
     pts, vals = pts.copy(), vals.copy()
     rows = np.arange(len(pts))
@@ -279,16 +282,8 @@ def _refine(
         dist = np.hypot(moves[..., 0] - x0[:, 0, None], moves[..., 1] - x0[:, 1, None])
         ok = (dist >= config.exclusion_radius) & region.contains(moves)
         mvals = np.full(ok.shape, -np.inf)
-        # a batch of one point sums its receivers in numpy's pairwise order,
-        # wider batches column by column; score a start with a single
-        # feasible move alone so its value does not depend on the others
-        n_ok = ok.sum(axis=1)
-        wide = ok & (n_ok > 1)[:, None]
-        if wide.any():
-            mvals[wide] = _theta_batch(params, rx, moves[wide], move_owner[wide])
-        for i in np.flatnonzero(n_ok == 1):
-            mvals[i, ok[i]] = _theta_batch(params, rx, moves[i][ok[i]], owner[i])
-        best = np.lexsort((moves[..., 1], moves[..., 0], -mvals), axis=1)[:, 0]
+        mvals[ok] = _theta_batch(params, rx, moves[ok], move_owner[ok])
+        best = _ranked(moves, mvals)[:, 0]
         cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
         up = cand_vals > vals
         pts[up], vals[up] = cand_pts[up], cand_vals[up]
@@ -314,6 +309,11 @@ def optimize_fake_positions(
     refinements walk in lockstep, in groups whose batches hold no more
     points than the smallest candidate set; each faker gets exactly the
     outcome it would get searched alone.
+
+    Every choice, of starts, of moves and of the fake, takes the highest
+    value and breaks ties toward the lowest (x, y) (``_ranked``). A point
+    scores the same in every batch, so ``expected_deceived`` is exactly the
+    value the search maximised.
     """
     rx = _receivers(params, true_positions, genuine_positions)
     corners = np.array(
@@ -325,7 +325,7 @@ def optimize_fake_positions(
         ]
     )
     grid = _grid_points(region, config.grid_step)
-    best, starts = [], []
+    starts = []
     for f, x0 in enumerate(rx.x0):
         if not region.contains(x0):
             raise ValueError("true_position lies outside the region")
@@ -339,10 +339,9 @@ def optimize_fake_positions(
         values = _theta_batch(params, rx, cands, f)
         # refine from the strongest few starts; cheap insurance against the
         # greedy walk stalling on a local ridge
-        top = np.lexsort((cands[:, 1], cands[:, 0], -values))[:REFINE_STARTS]
-        best.append(_lex_best(cands[top], values[top]))
+        top = _ranked(cands, values)[:REFINE_STARTS]
         starts.append((cands[top], values[top], np.full(len(top), f), len(cands)))
-    if not best:
+    if not starts:
         return []
 
     pts, vals, owner, sizes = zip(*starts)
@@ -353,16 +352,14 @@ def optimize_fake_positions(
         pts[part], vals[part] = _refine(
             params, region, rx, config, pts[part], vals[part], owner[part]
         )
-    for pt, val, f in zip(pts, vals.tolist(), owner.tolist()):
-        best_pt, best_val = best[f]
-        if val > best_val or (val == best_val and tuple(pt) < tuple(best_pt)):
-            best[f] = pt, val
-
-    fakes = np.array([pt for pt, _ in best])
+    # a walk moves only to a strictly better point, so a faker's first
+    # refined start by rank is at least as good as its best candidate
+    order = _ranked(pts, vals, owner)
+    fakes = pts[order[np.unique(owner[order], return_index=True)[1]]]
     claimed = np.hypot(
         rx.gp[None, :, 0] - fakes[:, 0, None], rx.gp[None, :, 1] - fakes[:, 1, None]
     )
-    probs = np.where(claimed > 0, _deception_prob_arrays(params, rx.r.T, claimed), 0.0)
+    probs = _deception_prob_arrays(params, rx.r.T, claimed)
     return [
         FakingOutcome(
             fake_position=(float(pt[0]), float(pt[1])),

@@ -22,7 +22,7 @@ from scipy.special import ndtr
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_position
 from .channel import TRUTHFUL_ACCEPT_PROB, SignalParams
-from .codec import from_json, to_json, write_json
+from .codec import from_json, read_json, to_json, write_json
 
 ENV_CACHE_DIR = "POSVERIFY_THETA_CACHE"
 QUANTILE_TENTHS = tuple(range(1, 10))  # 0.1 .. 0.9
@@ -202,24 +202,20 @@ def table_from_dict(d: dict) -> ThetaTable:
     return from_json(ThetaTable, d)
 
 
-def theta_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
+def theta_cache_dir() -> Path:
     env = os.environ.get(ENV_CACHE_DIR)
     if env:
         return Path(env)
     return Path.home() / ".cache" / "posverify"
 
 
-def theta_cache_path(
-    n: int, meta: CalibrationMeta, directory: str | os.PathLike | None = None
-) -> Path:
+def theta_cache_path(n: int, meta: CalibrationMeta) -> Path:
     """Where the cache keeps the table for ``n`` nodes calibrated from ``meta``."""
-    return theta_cache_dir(directory) / f"theta_n{n}_{meta_hash(meta)}.json"
+    return theta_cache_dir() / f"theta_n{n}_{meta_hash(meta)}.json"
 
 
-def save_theta_table(table: ThetaTable, directory: str | os.PathLike | None = None) -> Path:
-    path = theta_cache_path(table.n, table.meta, directory)
+def save_theta_table(table: ThetaTable) -> Path:
+    path = theta_cache_path(table.n, table.meta)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_json(path, table_to_dict(table))
     return path
@@ -227,11 +223,7 @@ def save_theta_table(table: ThetaTable, directory: str | os.PathLike | None = No
 
 def load_theta_table(path: str | os.PathLike) -> ThetaTable:
     """Read a table file; ValueError, naming the file, if it does not hold one."""
-    try:
-        with open(path) as fh:
-            return table_from_dict(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad theta table {path}: {exc}") from exc
+    return read_json(path, "theta table", table_from_dict)
 
 
 def cached_theta_table(
@@ -242,7 +234,6 @@ def cached_theta_table(
     num_x_per_x0: int,
     config: FakingSearchConfig,
     seed: int,
-    directory: str | os.PathLike | None = None,
     workers: int = 1,
 ) -> ThetaTable:
     """Load the table for these inputs from the cache, or build and store it.
@@ -251,7 +242,7 @@ def cached_theta_table(
     is recomputed and overwritten with a warning that names it.
     """
     meta = CalibrationMeta(params, region, config, num_x0, num_x_per_x0, seed)
-    path = theta_cache_path(n, meta, directory)
+    path = theta_cache_path(n, meta)
     if path.exists():
         try:
             table = load_theta_table(path)
@@ -263,5 +254,5 @@ def cached_theta_table(
     table = estimate_theta_table(
         params, region, n, num_x0, num_x_per_x0, config, seed, workers=workers
     )
-    save_theta_table(table, directory)
+    save_theta_table(table)
     return table

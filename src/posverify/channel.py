@@ -219,7 +219,11 @@ def deception_probability(
 
 
 def _deception_prob_arrays(params: SignalParams, true_distance, claimed_distance):
-    """Vectorized deception probability; broadcasts its arguments."""
+    """Vectorized deception probability; broadcasts its arguments.
+
+    A claim of zero distance can never be ranged, so it deceives with
+    probability exactly 0.0.
+    """
     t = np.asarray(true_distance, dtype=float)
     c = np.asarray(claimed_distance, dtype=float)
     if params.noise_sigma == 0.0:
@@ -230,9 +234,10 @@ def _deception_prob_arrays(params: SignalParams, true_distance, claimed_distance
     lo, hi = _power_bounds(params, c)
     lo = np.maximum(lo, 0.0)  # readings must stay positive to be estimable
     ideal_true = params.transmit_power * (params.alpha / t) ** m
-    return ndtr((hi - ideal_true) / params.noise_sigma) - ndtr(
+    probs = ndtr((hi - ideal_true) / params.noise_sigma) - ndtr(
         (lo - ideal_true) / params.noise_sigma
     )
+    return np.where(c > 0, probs, 0.0)  # the bounds are nan at c <= 0
 
 
 def simulate_approval_rate(

@@ -5,7 +5,8 @@ that are ``None``; tuples become lists, frozensets sorted lists, and dict
 keys are kept. ``from_json`` reverses it from the field type hints: a key
 that is absent takes the field's default, and a value that is already an
 instance of its type passes through. Files are written to ``<name>.tmp``
-and renamed into place, so a reader never sees half a file.
+and renamed into place, so a reader never sees half a file; ``read_json``
+names the file and what it should hold when reading one fails.
 """
 
 from __future__ import annotations
@@ -58,6 +59,26 @@ def from_json(tp, data):
     if origin is dict:
         return {args[0](k): from_json(args[1], v) for k, v in data.items()}
     return data
+
+
+def read_json(path, what: str, decode):
+    """``decode`` of the JSON value in the file at ``path``.
+
+    An unreadable file raises ``OSError``, and a file that is not JSON or
+    that ``decode`` rejects raises ``ValueError``; both name ``what`` was
+    being read and the path.
+    """
+    p = Path(path)
+    try:
+        data = json.loads(p.read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read {what} {p}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ValueError(f"bad {what} {p}: invalid JSON: {exc}") from exc
+    try:
+        return decode(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad {what} {p}: {exc}") from exc
 
 
 def write_json(path, obj) -> None:

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .calibration import ThetaTable, cached_theta_table, load_theta_table
 from .channel import SignalParams, ideal_received_power
-from .codec import from_json, to_json, write_csv, write_json
+from .codec import from_json, read_json, to_json, write_csv, write_json
 from .protocol import (
     FilterResult,
     Node,
@@ -137,17 +135,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    p = Path(path)
-    try:
-        raw = json.loads(p.read_text())
-    except OSError as exc:
-        raise OSError(f"cannot read config {p}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON in config {p}: {exc}") from exc
-    try:
-        return config_from_dict(raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad config {p}: {exc}") from exc
+    return read_json(path, "config", config_from_dict)
 
 
 def _spawned_seed(master: int, domain: int, index: int = 0) -> int:
@@ -368,13 +356,7 @@ def emit_report(report: ExperimentReport, fmt: str, path) -> None:
 
 
 def load_report(path) -> ExperimentReport:
-    p = Path(path)
-    try:
-        return report_from_dict(json.loads(p.read_text()))
-    except OSError as exc:
-        raise OSError(f"cannot read report {p}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad report {p}: {exc}") from exc
+    return read_json(path, "report", report_from_dict)
 
 
 def _preset(n: int, n0: int, noise: str, filter_mode: str, seed: int) -> ExperimentConfig:

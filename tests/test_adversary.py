@@ -11,6 +11,8 @@ from posverify.adversary import (
     _COMPASS,
     FakingSearchConfig,
     Region,
+    _feasible,
+    _grid_points,
     _receivers,
     _refine,
     _theta_batch,
@@ -240,6 +242,22 @@ class TestOptimizer:
                 have, want = getattr(got, field), getattr(alone, field)
                 assert np.array(have).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-q-55"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_chosen_fakes_score_the_same_in_a_wide_batch(self, name, seed):
+        # the value the search maximised is the value it reports, whatever
+        # batch the fake is scored in
+        cfg = PRESETS[name]
+        params = cfg.resolved_signal()
+        nodes = deploy(cfg, seed)
+        genuine = [n.true_position for n in nodes[: cfg.n0]]
+        truths = [n.true_position for n in nodes[cfg.n0 :]]
+        outcomes = optimize_fake_positions(params, cfg.region, truths, genuine, cfg.faking)
+        rx = _receivers(params, truths, genuine)
+        fakes = [o.fake_position for o in outcomes]
+        wide = _theta_batch(params, rx, fakes, np.arange(len(fakes)))
+        assert wide.tobytes() == np.array([o.expected_deceived for o in outcomes]).tobytes()
+
     def test_no_fakers_no_outcomes(self):
         cfg = FakingSearchConfig(exclusion_radius=5.0, grid_step=10.0)
         assert optimize_fake_positions(make_params(1e-9), REGION, [], [(1.0, 2.0)], cfg) == []
@@ -282,7 +300,8 @@ def dense_theta_batch(params, true_position, genuine_positions, points):
     probs = _deception_prob_arrays(params, r[:, None], claimed)
     # a claim of exactly zero distance to some receiver can never be ranged
     probs = np.where(claimed > 0, probs, 0.0)
-    return probs.sum(axis=0)
+    # each point's receivers summed along contiguous memory, as a row's sum()
+    return np.asfortranarray(probs).sum(axis=0)
 
 
 NOISE_LEVELS = ("zero", "1e-30", "negligible", "significant", "huge")
@@ -342,6 +361,17 @@ class TestPrunedKernel:
             params, x0s[0], gp, pts[-1]
         ).tobytes()
 
+    @given(kernel_instances())
+    def test_a_point_scores_the_same_in_any_batch(self, instance):
+        params, x0s, gp, pts = instance
+        rx = _receivers(params, x0s, gp)
+        owner = np.arange(len(pts)) % len(x0s)
+        batch = _theta_batch(params, rx, pts, owner)
+        for p, f, got in zip(pts, owner, batch):
+            alone = _theta_batch(params, rx, p, f)[0]
+            probe = np.float64(theta_for_fake(params, x0s[f], p, gp))
+            assert got.tobytes() == alone.tobytes() == probe.tobytes()
+
     def test_claim_at_a_receiver_whose_band_has_no_near_end(self):
         # sigma dwarfs the far receiver's ideal power, so its band reaches
         # down to distance 0 and the claim at it is scored, not pruned
@@ -387,3 +417,34 @@ class TestKernelMemory:
         pruned = peak_bytes(lambda: _theta_batch(self.params, rx, self.pts, owner))
         dense = peak_bytes(lambda: dense_theta_batch(self.params, self.x0s[0], self.gp, self.pts))
         assert pruned <= dense
+
+
+@st.composite
+def search_instances(draw):
+    exponent = draw(st.sampled_from([2.0, 3.0, 4.0]))
+    params = noise_params(exponent, draw(st.sampled_from(["negligible", "significant"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gp = REGION.sample(rng, draw(st.integers(1, 8)))
+    x0s = REGION.sample(rng, draw(st.integers(1, 3)))
+    cfg = FakingSearchConfig(
+        exclusion_radius=draw(st.sampled_from([2.0, 7.07, 30.0])),
+        grid_step=20.0,
+        refine_iters=draw(st.integers(0, 4)),
+    )
+    return params, x0s, gp, cfg
+
+
+class TestSearchProperties:
+    @given(search_instances())
+    def test_fake_is_feasible_and_beats_every_grid_candidate(self, instance):
+        params, x0s, gp, cfg = instance
+        outcomes = optimize_fake_positions(params, REGION, x0s, gp, cfg)
+        assert len(outcomes) == len(x0s)
+        grid = _grid_points(REGION, cfg.grid_step)
+        for x0, out in zip(x0s, outcomes):
+            fake = np.array(out.fake_position)
+            assert REGION.contains(fake)
+            assert np.hypot(*(fake - x0)) >= cfg.exclusion_radius
+            assert out.expected_deceived == theta_for_fake(params, x0, fake, gp)
+            for cand in _feasible(REGION, x0, cfg.exclusion_radius, grid):
+                assert out.expected_deceived >= theta_for_fake(params, x0, cand, gp)

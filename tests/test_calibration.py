@@ -150,13 +150,15 @@ class TestPersistence:
         back = table_from_dict(json.loads(json.dumps(table_to_dict(t))))
         assert back == t
 
-    def test_save_load(self, tmp_path):
+    def test_save_load(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
         t = small_table()
-        path = save_theta_table(t, tmp_path)
+        path = save_theta_table(t)
         assert path.name == f"theta_n6_{meta_hash(t.meta)}.json"
         assert load_theta_table(path) == t
 
-    def test_cached_table_roundtrips_and_hits(self, tmp_path):
+    def test_cached_table_roundtrips_and_hits(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
         kwargs = dict(
             params=sig_params(),
             region=REGION,
@@ -165,7 +167,6 @@ class TestPersistence:
             num_x_per_x0=2,
             config=FAKING,
             seed=3,
-            directory=tmp_path,
         )
         first = cached_theta_table(**kwargs)
         files = list(tmp_path.glob("theta_n6_*.json"))
@@ -175,10 +176,11 @@ class TestPersistence:
         assert second == first
         assert files[0].stat().st_mtime_ns == mtime  # untouched, so it was a hit
 
-    def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
+    def test_corrupt_cache_entry_is_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
         kwargs = dict(
             params=sig_params(), region=REGION, n=6, num_x0=2, num_x_per_x0=2,
-            config=FAKING, seed=3, directory=tmp_path,
+            config=FAKING, seed=3,
         )
         first = cached_theta_table(**kwargs)
         (path,) = tmp_path.glob("theta_n6_*.json")
@@ -187,10 +189,11 @@ class TestPersistence:
             assert cached_theta_table(**kwargs) == first
         assert load_theta_table(path) == first
 
-    def test_cache_entry_for_other_inputs_is_recomputed(self, tmp_path):
+    def test_cache_entry_for_other_inputs_is_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
         kwargs = dict(
             params=sig_params(), region=REGION, n=6, num_x0=3, num_x_per_x0=2,
-            config=FAKING, seed=42, directory=tmp_path,
+            config=FAKING, seed=42,
         )
         first = cached_theta_table(**kwargs)
         (path,) = tmp_path.glob("theta_n6_*.json")
@@ -198,8 +201,9 @@ class TestPersistence:
         with pytest.warns(UserWarning, match="made for other inputs"):
             assert cached_theta_table(**kwargs) == first
 
-    def test_load_names_a_bad_file(self, tmp_path):
-        path = save_theta_table(small_table(), tmp_path)
+    def test_load_names_a_bad_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
+        path = save_theta_table(small_table())
         path.write_text(path.read_text()[:60])
         with pytest.raises(ValueError, match=f"bad theta table {re.escape(str(path))}"):
             load_theta_table(path)

@@ -194,6 +194,14 @@ class TestDeceptionProbability:
         want = norm.cdf((ceiling - ideal) / 0.4) - norm.cdf((0.0 - ideal) / 0.4)
         assert got == pytest.approx(float(want), abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1e-30, 2e-10, 0.4])
+    def test_zero_claimed_distance_deceives_nobody(self, sigma):
+        # the power bounds are nan at a zero claim; the probability is 0.0
+        p = default_params(sigma=sigma)
+        got = _deception_prob_arrays(p, np.array([0.5, 40.0]), np.array([0.0, 0.0]))
+        assert got.tolist() == [0.0, 0.0]
+        assert float(_deception_prob_arrays(p, 40.0, 0.0)) == 0.0
+
     def test_matches_monte_carlo(self):
         p = default_params(sigma=2e-10)
         rng = np.random.default_rng(11)

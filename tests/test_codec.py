@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import CalibrationMeta, ThetaTable
 from posverify.channel import SignalParams
-from posverify.codec import from_json, to_json, write_csv, write_json
+from posverify.codec import from_json, read_json, to_json, write_csv, write_json
 from posverify.experiment import FILTER_MODES, ExperimentConfig, NoiseMode
 from posverify.protocol import FilterResult, FilterRound
 
@@ -176,3 +176,17 @@ class TestWriters:
         path = tmp_path / "missing" / "out.json"
         with pytest.raises(OSError, match="cannot write .*missing/out.json"):
             write_json(path, [1])
+
+
+class TestReader:
+    def test_round_trips_through_the_decoder(self, tmp_path):
+        path = tmp_path / "mode.json"
+        write_json(path, NoiseMode("explicit", 0.5))
+        decoded = read_json(path, "noise mode", lambda d: from_json(NoiseMode, d))
+        assert decoded == NoiseMode("explicit", 0.5)
+
+    def test_bytes_that_are_not_text_are_invalid_json(self, tmp_path):
+        path = tmp_path / "mode.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match="bad noise mode .*mode.json: invalid JSON"):
+            read_json(path, "noise mode", dict)

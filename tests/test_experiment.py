@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from posverify.adversary import FakingSearchConfig, Region
-from posverify.calibration import estimate_theta_table, save_theta_table
+from posverify.calibration import estimate_theta_table, table_to_dict
 from posverify.channel import SignalParams
+from posverify.codec import write_json
 from posverify.experiment import (
     CSV_COLUMNS,
     NEGLIGIBLE_FACTOR,
@@ -216,7 +217,8 @@ class TestThetaSource:
         table = estimate_theta_table(
             cfg.resolved_signal(), cfg.region, cfg.n, 3, 2, cfg.faking, seed=1
         )
-        path = save_theta_table(table, directory=tmp_path)
+        path = tmp_path / "table.json"
+        write_json(path, table_to_dict(table))
         resolved = resolve_theta_table(replace(cfg, theta_source=str(path)))
         assert resolved == table
 
@@ -225,7 +227,8 @@ class TestThetaSource:
         table = estimate_theta_table(
             cfg.resolved_signal(), cfg.region, cfg.n, 3, 2, cfg.faking, seed=1
         )
-        path = save_theta_table(table, directory=tmp_path)
+        path = tmp_path / "table.json"
+        write_json(path, table_to_dict(table))
         bigger = replace(cfg, n=12, theta_source=str(path))
         with pytest.raises(ValueError, match="n=10"):
             resolve_theta_table(bigger)
@@ -237,7 +240,8 @@ class TestThetaSource:
         table = estimate_theta_table(
             neg.resolved_signal(), neg.region, neg.n, 3, 2, neg.faking, seed=1
         )
-        path = save_theta_table(table, directory=tmp_path)
+        path = tmp_path / "table.json"
+        write_json(path, table_to_dict(table))
         sig = tiny_config(theta_source=str(path))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*signal.noise_sigma"):
             resolve_theta_table(sig)
@@ -247,7 +251,8 @@ class TestThetaSource:
         table = estimate_theta_table(
             cfg.resolved_signal(), cfg.region, cfg.n, 3, 2, cfg.faking, seed=1
         )
-        path = save_theta_table(table, directory=tmp_path)
+        path = tmp_path / "table.json"
+        write_json(path, table_to_dict(table))
         # same diagonal, hence the same sigma: only the region differs
         moved = replace(cfg, region=Region(1.0, 21.0, 0.0, 20.0), theta_source=str(path))
         with pytest.raises(ValueError, match="region.x_min"):
@@ -259,8 +264,14 @@ class TestThetaSource:
         table = estimate_theta_table(
             cfg.resolved_signal(), cfg.region, cfg.n, 2, 2, finer, seed=9
         )
-        path = save_theta_table(table, directory=tmp_path)
+        path = tmp_path / "table.json"
+        write_json(path, table_to_dict(table))
         assert resolve_theta_table(replace(cfg, theta_source=str(path))) == table
+
+    def test_missing_file_source_named(self, tmp_path):
+        path = tmp_path / "nope.json"
+        with pytest.raises(OSError, match=f"cannot read theta table {re.escape(str(path))}"):
+            resolve_theta_table(tiny_config(theta_source=str(path)))
 
     def test_truncated_file_source_named(self, tmp_path):
         path = tmp_path / "table.json"

@@ -119,8 +119,9 @@ def test_report_csv_bytes(tmp_path):
     assert path.read_bytes() == (GOLDEN / "report.csv").read_bytes()
 
 
-def test_theta_table_bytes_and_cache_name(tmp_path):
-    path = save_theta_table(golden_table(), tmp_path)
+def test_theta_table_bytes_and_cache_name(tmp_path, monkeypatch):
+    monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
+    path = save_theta_table(golden_table())
     assert path.name == TABLE_NAME
     assert path.read_bytes() == (GOLDEN / "theta_table.json").read_bytes()
     assert load_theta_table(GOLDEN / "theta_table.json") == golden_table()
