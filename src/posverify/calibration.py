@@ -13,7 +13,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from scipy.special import ndtr
 from .adversary import FakingSearchConfig, Region, optimize_fake_position
 from .channel import TRUTHFUL_ACCEPT_PROB, SignalParams
 from .codec import from_json, read_json, to_json, write_json
+from .pool import pool_map
 
 ENV_CACHE_DIR = "POSVERIFY_THETA_CACHE"
 QUANTILE_TENTHS = tuple(range(1, 10))  # 0.1 .. 0.9
@@ -115,11 +115,7 @@ def estimate_theta_table(
         for i in range(num_x0)
         for j in range(num_x_per_x0)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(_calibration_cell, jobs, chunksize=8))
-    else:
-        samples = [_calibration_cell(job) for job in jobs]
+    samples = pool_map(_calibration_cell, jobs, workers, chunksize=8)
 
     per_x0_means = [
         float(np.mean(samples[i * num_x_per_x0 : (i + 1) * num_x_per_x0]))

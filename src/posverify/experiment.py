@@ -10,6 +10,7 @@ from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .calibration import ThetaTable, cached_theta_table, load_theta_table
 from .channel import SignalParams, ideal_received_power
 from .codec import from_json, read_json, to_json, write_csv, write_json
+from .pool import pool_map
 from .protocol import (
     FilterResult,
     Node,
@@ -296,42 +297,47 @@ def report_from_dict(d: dict) -> ExperimentReport:
     return from_json(ExperimentReport, d)
 
 
+def _trial(job) -> TrialRecord:
+    """Trial ``t`` of ``config`` against ``table``; a pool job, so top level."""
+    config, table, t = job
+    trial_seed = _spawned_seed(config.seed, _DOMAIN_TRIAL, t)
+    nodes = deploy(config, trial_seed)
+    matrix = accuse_approve(
+        nodes, config.resolved_signal(), _spawned_seed(trial_seed, _DOMAIN_NOISE)
+    )
+    if config.filter_mode == "quantile":
+        result = quantile_filter(matrix, table)
+    else:
+        result = filter_fixpoint(matrix, float(table.theta_star))
+    genuine_kept = sum(1 for i in result.final_genuine_set if i < config.n0)
+    malicious_gone = sum(1 for i in result.final_filtered_set if i >= config.n0)
+    return TrialRecord(
+        trial=t,
+        seed=trial_seed,
+        result=result,
+        malicious_removed=malicious_gone,
+        genuine_retained=genuine_kept,
+        success=(malicious_gone == config.n1 and genuine_kept >= 1),
+    )
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run every trial of the config and aggregate.
 
-    Per-trial streams are derived from the config seed by trial index, so
-    reports come out identical whatever the worker count or run order. A
+    ``workers`` processes share the calibration cells (when the table is
+    not cached) and then the trials. Per-trial streams are derived from
+    the config seed by trial index and trials are collected in index
+    order, so reports come out identical whatever the worker count. A
     trial succeeds when every malicious node is removed and at least one
     genuine node survives.
     """
-    params = config.resolved_signal()
     table = resolve_theta_table(config, workers=workers)
     if config.filter_mode == "quantile":
         schedule = table.schedule()
     else:
         schedule = (float(table.theta_star),)
 
-    records = []
-    for t in range(config.trials):
-        trial_seed = _spawned_seed(config.seed, _DOMAIN_TRIAL, t)
-        nodes = deploy(config, trial_seed)
-        matrix = accuse_approve(nodes, params, _spawned_seed(trial_seed, _DOMAIN_NOISE))
-        if config.filter_mode == "quantile":
-            result = quantile_filter(matrix, table)
-        else:
-            result = filter_fixpoint(matrix, float(table.theta_star))
-        genuine_kept = sum(1 for i in result.final_genuine_set if i < config.n0)
-        malicious_gone = sum(1 for i in result.final_filtered_set if i >= config.n0)
-        records.append(
-            TrialRecord(
-                trial=t,
-                seed=trial_seed,
-                result=result,
-                malicious_removed=malicious_gone,
-                genuine_retained=genuine_kept,
-                success=(malicious_gone == config.n1 and genuine_kept >= 1),
-            )
-        )
+    records = pool_map(_trial, [(config, table, t) for t in range(config.trials)], workers)
 
     return ExperimentReport(
         config=config,

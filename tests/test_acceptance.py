@@ -46,7 +46,7 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 @lru_cache(maxsize=None)
 def hundred_trials(name: str):
-    return run_experiment(replace(PRESETS[name], trials=100))
+    return run_experiment(replace(PRESETS[name], trials=100), workers=2)
 
 
 def test_criterion_01_truthful_claims_pass():

@@ -81,6 +81,10 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "--config", str(config_path), "--preset", "sig-noise-62"])
 
+    def test_non_positive_workers_named(self, config_path, capsys):
+        assert main(["run", "--config", str(config_path), "--workers", "0"]) == 1
+        assert "error: workers must be positive, got 0" in capsys.readouterr().err
+
 
 class TestTheta:
     def test_calibrates_and_saves(self, tmp_path, capsys):
@@ -145,6 +149,17 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out.read_text())
         assert [r["n0"] for r in rows] == [5, 7]
+        # the trials of each n0 split unevenly over two workers
+        blobs = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"sweep-{workers}w.json"
+            code = main(
+                ["sweep", "--config", str(config_path), "--n0", "5:7:2", "--trials", "3",
+                 "--workers", workers, "--report", str(out)]
+            )
+            assert code == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
 
     def test_bad_span(self, config_path, capsys):
         assert main(["sweep", "--config", str(config_path), "--n0", "7"]) == 1

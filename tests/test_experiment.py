@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from posverify import pool
 from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import estimate_theta_table, table_to_dict
 from posverify.channel import SignalParams
@@ -360,7 +361,8 @@ class TestRunExperiment:
             emit_report(report, "yaml", tmp_path / "r.yaml")
 
     def test_deterministic_and_worker_invariant(self, tmp_path, monkeypatch):
-        cfg = tiny_config()
+        # three trials split unevenly over two workers, so order is tested
+        cfg = tiny_config(trials=3)
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "a"))
         first = json.dumps(report_to_dict(run_experiment(cfg, workers=1)), sort_keys=True)
         again = json.dumps(report_to_dict(run_experiment(cfg, workers=1)), sort_keys=True)
@@ -373,3 +375,59 @@ class TestRunExperiment:
         report = run_experiment(tiny_config(trials=3))
         seeds = {rec.seed for rec in report.per_trial}
         assert len(seeds) == 3
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records what was asked, runs inline."""
+
+    def __init__(self, opened, max_workers):
+        self.opened = opened
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        self.opened.append((self.max_workers, chunksize))
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def opened_pools(monkeypatch):
+    opened = []
+    monkeypatch.setattr(
+        pool.futures, "ProcessPoolExecutor", lambda max_workers: FakePool(opened, max_workers)
+    )
+    return opened
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be positive, got {workers}"):
+            pool.pool_map(abs, [1, 2], workers)
+
+    def test_single_trial_opens_no_pool(self, opened_pools):
+        cfg = tiny_config(trials=1)
+        resolve_theta_table(cfg)  # cache the table so only trials remain
+        run_experiment(cfg, workers=2)
+        assert opened_pools == []
+
+    def test_pool_never_exceeds_the_trials(self, opened_pools):
+        cfg = tiny_config(trials=3)
+        resolve_theta_table(cfg)
+        run_experiment(cfg, workers=8)
+        assert opened_pools == [(3, 1)]
+
+    def test_calibration_cells_share_the_pool(self, opened_pools):
+        cfg = tiny_config()
+        table = estimate_theta_table(
+            cfg.resolved_signal(), cfg.region, cfg.n, 4, 3, cfg.faking, seed=0, workers=2
+        )
+        assert opened_pools == [(2, 8)]
+        assert table == estimate_theta_table(
+            cfg.resolved_signal(), cfg.region, cfg.n, 4, 3, cfg.faking, seed=0
+        )

@@ -1,7 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import CalibrationMeta, ThetaTable
@@ -268,6 +271,65 @@ class TestQuantileFilter:
         res = quantile_filter(m, table)
         assert res.final_genuine_set == frozenset({0, 1, 2, 3, 4})
         assert res.final_filtered_set == frozenset({5, 6, 7})
+
+
+# allowances on a half-integer grid hit ties at the bar, (k + theta) / 2
+# integral; free floats cover the rest
+ALLOWANCES = st.one_of(st.integers(0, 12).map(lambda k: k / 2), st.floats(0.0, 6.0))
+
+
+@st.composite
+def filter_instances(draw):
+    """A random audit over arbitrary distinct ids and a schedule whose
+    quantiles and theta_star are drawn independently, so it is often not
+    non-decreasing."""
+    n = draw(st.integers(1, 16))
+    ids = tuple(draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = rng.random((n, n)) < draw(st.sampled_from([0.05, 0.15, 0.3, 0.5]))
+    np.fill_diagonal(grid, False)
+    quantiles = {k / 10: draw(ALLOWANCES) for k in range(1, 10)}
+    return AccusationMatrix(ids, grid), dummy_table(draw(st.integers(0, 6)), quantiles)
+
+
+class TestQuantileFilterProperties:
+    @given(filter_instances())
+    def test_passes_follow_the_rule_and_end_at_a_fixpoint(self, instance):
+        m, table = instance
+        schedule = table.schedule()
+        res = quantile_filter(m, table)
+        assert res.final_genuine_set | res.final_filtered_set == frozenset(m.ids)
+        assert not res.final_genuine_set & res.final_filtered_set
+        active = set(m.ids)
+        for rnd in res.rounds:
+            rows = [m.index(i) for i in sorted(active)]
+            got = dict(zip(sorted(active), (~m.accuses[np.ix_(rows, rows)]).sum(axis=0)))
+            assert rnd.active_before == len(active)
+            assert rnd.threshold == (len(active) + schedule[rnd.step]) / 2
+            assert rnd.removed_approvals == tuple(got[i] for i in rnd.removed_ids)
+            assert all(a < rnd.threshold for a in rnd.removed_approvals)
+            active -= set(rnd.removed_ids)
+        assert active == res.final_genuine_set
+        assert res.rounds[-1].removed_ids == () or not active
+        # survivors of a higher bar clear any lower one: a step that steps
+        # down removes nobody
+        for rnd in res.rounds:
+            if schedule[rnd.step] < max(schedule[: rnd.step + 1]):
+                assert rnd.removed_ids == ()
+
+    @given(filter_instances())
+    def test_equals_chained_fixpoints_on_the_survivors(self, instance):
+        m, table = instance
+        survivors, rounds = list(m.ids), []
+        for step, theta in enumerate(table.schedule()):
+            keep = np.array([m.index(i) for i in survivors], dtype=int)
+            sub = AccusationMatrix(tuple(survivors), m.accuses[np.ix_(keep, keep)])
+            part = filter_fixpoint(sub, theta)
+            rounds += [replace(r, step=step) for r in part.rounds]
+            survivors = [i for i in survivors if i in part.final_genuine_set]
+        assert quantile_filter(m, table) == FilterResult(
+            tuple(rounds), frozenset(survivors), frozenset(m.ids) - frozenset(survivors)
+        )
 
 
 class TestFilterResultSerialization:
