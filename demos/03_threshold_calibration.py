@@ -10,6 +10,7 @@ channels leave more room to lie, so theta grows with sigma.
 import numpy as np
 
 from posverify import (
+    CalibrationMeta,
     FakingSearchConfig,
     Region,
     SignalParams,
@@ -29,7 +30,8 @@ n = 40  # votes come from ceil(n/2) = 20 honest receivers per sample
 
 for label, sigma in (("negligible", 1e-6 * scale), ("significant", scale)):
     params = SignalParams(1.0, 0.125, noise_sigma=sigma)
-    table = estimate_theta_table(params, region, n, 8, 5, search, seed=3)
+    # 8 faker positions, 5 honest sets against each, seed 3
+    table = estimate_theta_table(n, CalibrationMeta(params, region, search, 8, 5, seed=3))
     samples = np.asarray(table.samples)
     print(f"{label} noise (sigma = {sigma:.3e} W)")
     print(f"  samples: min {samples.min():.3f}  median {np.median(samples):.3f}  "

@@ -13,6 +13,7 @@ from .adversary import (
     optimize_fake_positions,
 )
 from .calibration import (
+    CalibrationMeta,
     ThetaTable,
     cached_theta_table,
     estimate_theta_table,

@@ -26,6 +26,7 @@ from .pool import pool_map
 
 ENV_CACHE_DIR = "POSVERIFY_THETA_CACHE"
 QUANTILE_TENTHS = tuple(range(1, 10))  # 0.1 .. 0.9
+_DECILES = tuple(t / 10 for t in QUANTILE_TENTHS)
 
 # Domain tags keeping the x0 stream and the per-cell genuine-set streams
 # apart while staying reproducible under any execution order.
@@ -44,6 +45,10 @@ class CalibrationMeta:
     num_x_per_x0: int
     seed: int
 
+    def __post_init__(self) -> None:
+        if self.num_x0 < 1 or self.num_x_per_x0 < 1:
+            raise ValueError("sample counts must be positive")
+
 
 @dataclass(frozen=True)
 class ThetaTable:
@@ -59,11 +64,16 @@ class ThetaTable:
     samples: tuple[float, ...]
     meta: CalibrationMeta
 
+    def __post_init__(self) -> None:
+        if sorted(self.quantiles) != list(_DECILES):
+            raise ValueError(f"quantiles must be the deciles {list(_DECILES)}")
+        cells = self.meta.num_x0 * self.meta.num_x_per_x0
+        if len(self.samples) != cells:
+            raise ValueError(f"{len(self.samples)} samples for {cells} calibration cells")
+
     def schedule(self) -> tuple[float, ...]:
         """Escalating thresholds for the quantile variant of the filter."""
-        return (0.0,) + tuple(self.quantiles[t / 10] for t in QUANTILE_TENTHS) + (
-            float(self.theta_star),
-        )
+        return (0.0,) + tuple(self.quantiles[q] for q in _DECILES) + (float(self.theta_star),)
 
 
 def _decile_rank(tenths: int, count: int) -> int:
@@ -75,63 +85,46 @@ def _cell_rng(seed: int, domain: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain, *key)))
 
 
-def _calibration_cell(args) -> float:
-    params, region, config, n_genuine, seed, i, j = args
-    x0 = _cell_rng(seed, _DOMAIN_X0, i).uniform(
+def _calibration_cell(job) -> float:
+    meta, n_genuine, i, j = job
+    region = meta.region
+    x0 = _cell_rng(meta.seed, _DOMAIN_X0, i).uniform(
         (region.x_min, region.y_min), (region.x_max, region.y_max)
     )
-    genuine = region.sample(_cell_rng(seed, _DOMAIN_GENUINE, i, j), n_genuine)
-    return optimize_fake_position(params, region, x0, genuine, config).expected_deceived
+    genuine = region.sample(_cell_rng(meta.seed, _DOMAIN_GENUINE, i, j), n_genuine)
+    return optimize_fake_position(meta.signal, region, x0, genuine, meta.faking).expected_deceived
 
 
-def estimate_theta_table(
-    params: SignalParams,
-    region: Region,
-    n: int,
-    num_x0: int,
-    num_x_per_x0: int,
-    config: FakingSearchConfig,
-    seed: int,
-    workers: int = 1,
-) -> ThetaTable:
-    """Sample the faker's optimum and summarize it as a ThetaTable.
+def estimate_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> ThetaTable:
+    """Sample the faker's optimum for networks of ``n`` nodes and summarize
+    it as a ThetaTable calibrated from ``meta``.
 
-    Draws ``num_x0`` true positions; against each, ``num_x_per_x0``
-    independent sets of ceil(n/2) genuine receivers. theta_star is the
+    Draws ``meta.num_x0`` true positions; against each,
+    ``meta.num_x_per_x0`` independent sets of ceil(n/2) genuine receivers,
+    and runs ``meta.faking``'s search over ``meta.region`` on
+    ``meta.signal``'s channel, which must be noisy. theta_star is the
     ceiling of the worst per-position mean, the pessimistic integer budget
     for how many honest votes a faker can steal. Bit-identical for a given
-    seed regardless of ``workers``.
+    ``meta.seed`` regardless of ``workers``.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if num_x0 < 1 or num_x_per_x0 < 1:
-        raise ValueError("sample counts must be positive")
-    if params.noise_sigma <= 0:
+    if meta.signal.noise_sigma <= 0:
         raise ValueError("calibration requires positive noise_sigma")
 
     n_genuine = math.ceil(n / 2)
-    jobs = [
-        (params, region, config, n_genuine, seed, i, j)
-        for i in range(num_x0)
-        for j in range(num_x_per_x0)
-    ]
+    sets = meta.num_x_per_x0
+    jobs = [(meta, n_genuine, i, j) for i in range(meta.num_x0) for j in range(sets)]
     samples = pool_map(_calibration_cell, jobs, workers, chunksize=8)
 
     per_x0_means = [
-        float(np.mean(samples[i * num_x_per_x0 : (i + 1) * num_x_per_x0]))
-        for i in range(num_x0)
+        float(np.mean(samples[i * sets : (i + 1) * sets])) for i in range(meta.num_x0)
     ]
-    theta_star = math.ceil(max(per_x0_means))
-
     pooled = sorted(samples)
-    count = len(pooled)
-    quantiles = {t / 10: float(pooled[_decile_rank(t, count)]) for t in QUANTILE_TENTHS}
-
-    meta = CalibrationMeta(params, region, config, num_x0, num_x_per_x0, seed)
     return ThetaTable(
         n=n,
-        theta_star=theta_star,
-        quantiles=quantiles,
+        theta_star=math.ceil(max(per_x0_means)),
+        quantiles={t / 10: float(pooled[_decile_rank(t, len(pooled))]) for t in QUANTILE_TENTHS},
         samples=tuple(float(s) for s in samples),
         meta=meta,
     )
@@ -222,22 +215,14 @@ def load_theta_table(path: str | os.PathLike) -> ThetaTable:
     return read_json(path, "theta table", table_from_dict)
 
 
-def cached_theta_table(
-    params: SignalParams,
-    region: Region,
-    n: int,
-    num_x0: int,
-    num_x_per_x0: int,
-    config: FakingSearchConfig,
-    seed: int,
-    workers: int = 1,
-) -> ThetaTable:
-    """Load the table for these inputs from the cache, or build and store it.
+def cached_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> ThetaTable:
+    """The table for ``n`` nodes calibrated from ``meta``: loaded from the
+    cache, or estimated on ``workers`` processes and stored there.
 
-    A cache file that does not decode, or holds a table for other inputs,
-    is recomputed and overwritten with a warning that names it.
+    A cache file that does not decode, does not hold a well-formed table,
+    or holds a table for other inputs is recomputed and overwritten with a
+    warning that names it.
     """
-    meta = CalibrationMeta(params, region, config, num_x0, num_x_per_x0, seed)
     path = theta_cache_path(n, meta)
     if path.exists():
         try:
@@ -247,8 +232,6 @@ def cached_theta_table(
             return table
         except ValueError as exc:
             warnings.warn(f"{exc}; recomputing it", stacklevel=2)
-    table = estimate_theta_table(
-        params, region, n, num_x0, num_x_per_x0, config, seed, workers=workers
-    )
+    table = estimate_theta_table(n, meta, workers=workers)
     save_theta_table(table)
     return table

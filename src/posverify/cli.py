@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from .adversary import FakingSearchConfig, Region
-from .calibration import estimate_theta_table, table_to_dict
+from .calibration import CalibrationMeta, estimate_theta_table, table_to_dict
 from .channel import SignalParams
 from .codec import write_csv, write_json
 from .experiment import (
@@ -50,17 +50,8 @@ def _cmd_theta(args) -> int:
         path_loss_exponent=args.path_loss_exponent,
     )
     signal = replace(signal, noise_sigma=_noise_mode(args).sigma_for(signal, region))
-    num_x0, num_sets = args.samples
-    table = estimate_theta_table(
-        signal,
-        region,
-        args.n,
-        num_x0,
-        num_sets,
-        _faking_config(args, region),
-        seed=args.seed,
-        workers=args.workers,
-    )
+    meta = CalibrationMeta(signal, region, _faking_config(args, region), *args.samples, args.seed)
+    table = estimate_theta_table(args.n, meta, workers=args.workers)
     write_json(args.out, table_to_dict(table))
     print(f"theta_star={table.theta_star} samples={len(table.samples)} -> {args.out}")
     return 0
@@ -98,10 +89,10 @@ def _cmd_run(args) -> int:
 
 def _parse_span(text: str) -> range:
     parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"bad span {text!r}, want lo:hi or lo:hi:step")
-    lo, hi = int(parts[0]), int(parts[1])
-    step = int(parts[2]) if len(parts) == 3 else 1
+    try:
+        lo, hi, step = map(int, parts if len(parts) == 3 else parts + ["1"])
+    except ValueError:  # a part that is not an integer, or too few or many parts
+        raise ValueError(f"bad span {text!r}, want lo:hi or lo:hi:step") from None
     if step < 1 or hi < lo:
         raise ValueError(f"bad span {text!r}")
     return range(lo, hi + 1, step)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_positions
-from .calibration import ThetaTable, cached_theta_table, load_theta_table
+from .calibration import CalibrationMeta, ThetaTable, cached_theta_table, load_theta_table
 from .channel import SignalParams, ideal_received_power
 from .codec import from_json, read_json, to_json, write_csv, write_json
 from .pool import pool_map
@@ -169,33 +169,32 @@ def deploy(config: ExperimentConfig, seed: int) -> list[Node]:
 
 def resolve_theta_table(config: ExperimentConfig, workers: int = 1) -> ThetaTable:
     """The table the config names: a file, the cache, or a fresh calibration."""
-    if config.theta_source != RECALIBRATE:
-        table = load_theta_table(config.theta_source)
-        if table.n != config.n:
-            raise ValueError(
-                f"theta table {config.theta_source} is for n={table.n}, config has n={config.n}"
-            )
-        # a table from another channel or region holds another adversary's
-        # optimum; faking, sample counts and seed may differ
-        for group, want in (("signal", config.resolved_signal()), ("region", config.region)):
-            have = getattr(table.meta, group)
-            for f in fields(want):
-                if getattr(have, f.name) != getattr(want, f.name):
-                    raise ValueError(
-                        f"theta table {config.theta_source} is for {group}.{f.name}="
-                        f"{getattr(have, f.name)!r}, config has {getattr(want, f.name)!r}"
-                    )
-        return table
-    return cached_theta_table(
+    meta = CalibrationMeta(
         config.resolved_signal(),
         config.region,
-        config.n,
+        config.faking,
         config.calibration_positions,
         config.calibration_sets,
-        config.faking,
-        seed=config.seed,
-        workers=workers,
+        config.seed,
     )
+    if config.theta_source == RECALIBRATE:
+        return cached_theta_table(config.n, meta, workers=workers)
+    table = load_theta_table(config.theta_source)
+    if table.n != config.n:
+        raise ValueError(
+            f"theta table {config.theta_source} is for n={table.n}, config has n={config.n}"
+        )
+    # a table from another channel or region holds another adversary's
+    # optimum; faking, sample counts and seed may differ
+    for group in ("signal", "region"):
+        have, want = getattr(table.meta, group), getattr(meta, group)
+        for f in fields(want):
+            if getattr(have, f.name) != getattr(want, f.name):
+                raise ValueError(
+                    f"theta table {config.theta_source} is for {group}.{f.name}="
+                    f"{getattr(have, f.name)!r}, config has {getattr(want, f.name)!r}"
+                )
+    return table
 
 
 @dataclass(frozen=True)

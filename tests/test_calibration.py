@@ -10,6 +10,7 @@ from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import (
     CalibrationMeta,
     ThetaTable,
+    _calibration_cell,
     _decile_rank,
     cached_theta_table,
     estimate_theta_table,
@@ -23,6 +24,7 @@ from posverify.calibration import (
     threshold,
 )
 from posverify.channel import SignalParams, ideal_received_power
+from posverify.experiment import PRESETS
 
 
 class TestThreshold:
@@ -99,10 +101,12 @@ def sig_params():
     return SignalParams(transmit_power=1.0, wavelength=0.125, noise_sigma=ss)
 
 
+def sig_meta(num_x0=3, num_x_per_x0=2, seed=42):
+    return CalibrationMeta(sig_params(), REGION, FAKING, num_x0, num_x_per_x0, seed)
+
+
 def small_table(seed=42, workers=1):
-    return estimate_theta_table(
-        sig_params(), REGION, 6, num_x0=3, num_x_per_x0=2, config=FAKING, seed=seed, workers=workers
-    )
+    return estimate_theta_table(6, sig_meta(seed=seed), workers=workers)
 
 
 class TestEstimateThetaTable:
@@ -129,11 +133,29 @@ class TestEstimateThetaTable:
     def test_rejects_zero_noise(self):
         p = SignalParams(transmit_power=1.0, wavelength=0.125, noise_sigma=0.0)
         with pytest.raises(ValueError):
-            estimate_theta_table(p, REGION, 6, 2, 2, FAKING, seed=0)
+            estimate_theta_table(6, CalibrationMeta(p, REGION, FAKING, 2, 2, 0))
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
-            estimate_theta_table(sig_params(), REGION, 1, 2, 2, FAKING, seed=0)
+            estimate_theta_table(1, sig_meta(2, 2, seed=0))
+
+    def test_one_cell_sets_negligible_noise_theta_star(self):
+        # neg-noise-52 calibrated at seed 0 (the preset uses seed 1, which
+        # gives theta_star 2) has theta_star 3, and a single cell of row 22
+        # sets it: one rare three-receiver alignment among the row's 20
+        # searches. No other row's mean exceeds 1.9946, so a search change
+        # that loses this alignment drops theta_star to 2.
+        cfg = PRESETS["neg-noise-52"]
+        meta = CalibrationMeta(
+            cfg.resolved_signal(), cfg.region, cfg.faking,
+            cfg.calibration_positions, cfg.calibration_sets, seed=0,
+        )
+        n_genuine = math.ceil(cfg.n / 2)
+        row = [_calibration_cell((meta, n_genuine, 22, j)) for j in range(meta.num_x_per_x0)]
+        high = [j for j, v in enumerate(row) if v > 2.5]
+        assert len(high) == 1
+        assert math.ceil(np.mean(row)) == 3
+        assert math.ceil(np.mean(row[: high[0]] + row[high[0] + 1 :])) == 2
 
     def test_schedule_layout(self):
         t = small_table()
@@ -159,15 +181,7 @@ class TestPersistence:
 
     def test_cached_table_roundtrips_and_hits(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
-        kwargs = dict(
-            params=sig_params(),
-            region=REGION,
-            n=6,
-            num_x0=2,
-            num_x_per_x0=2,
-            config=FAKING,
-            seed=3,
-        )
+        kwargs = dict(n=6, meta=sig_meta(2, 2, seed=3))
         first = cached_theta_table(**kwargs)
         files = list(tmp_path.glob("theta_n6_*.json"))
         assert len(files) == 1
@@ -178,10 +192,7 @@ class TestPersistence:
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
-        kwargs = dict(
-            params=sig_params(), region=REGION, n=6, num_x0=2, num_x_per_x0=2,
-            config=FAKING, seed=3,
-        )
+        kwargs = dict(n=6, meta=sig_meta(2, 2, seed=3))
         first = cached_theta_table(**kwargs)
         (path,) = tmp_path.glob("theta_n6_*.json")
         path.write_text(path.read_text()[:60])
@@ -191,10 +202,7 @@ class TestPersistence:
 
     def test_cache_entry_for_other_inputs_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
-        kwargs = dict(
-            params=sig_params(), region=REGION, n=6, num_x0=3, num_x_per_x0=2,
-            config=FAKING, seed=42,
-        )
+        kwargs = dict(n=6, meta=sig_meta(3, 2, seed=42))
         first = cached_theta_table(**kwargs)
         (path,) = tmp_path.glob("theta_n6_*.json")
         path.write_text(json.dumps(table_to_dict(small_table(seed=7))))

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from posverify.calibration import load_theta_table
 from posverify.cli import main
 from posverify.experiment import (
+    PRESETS,
     ExperimentConfig,
     NoiseMode,
     config_to_dict,
@@ -119,6 +121,16 @@ class TestTheta:
         assert code == 1
         assert "--sigma" in capsys.readouterr().err
 
+    def test_defaults_are_the_presets_channel(self, tmp_path):
+        # perfbench's theta workload leans on this to share the presets' regime
+        out = tmp_path / "t.json"
+        assert main(["theta", "--n", "100", "--samples", "1", "1", "--out", str(out)]) == 0
+        meta = load_theta_table(out).meta
+        preset = PRESETS["sig-noise-q-55"]
+        assert meta.signal == preset.resolved_signal()
+        assert meta.region == preset.region
+        assert meta.faking == preset.faking
+
     def test_sigma_rejected_for_derived_modes(self, tmp_path, capsys):
         code = main(
             ["theta", "--n", "8", "--sigma", "0.5", "--out", str(tmp_path / "t.json")]
@@ -161,6 +173,7 @@ class TestSweep:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_bad_span(self, config_path, capsys):
-        assert main(["sweep", "--config", str(config_path), "--n0", "7"]) == 1
-        assert "span" in capsys.readouterr().err
+    @pytest.mark.parametrize("span", ["7", "a:60", "52:60:x"])
+    def test_bad_span(self, config_path, capsys, span):
+        assert main(["sweep", "--config", str(config_path), "--n0", span]) == 1
+        assert f"bad span {span!r}, want lo:hi or lo:hi:step" in capsys.readouterr().err

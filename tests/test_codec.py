@@ -42,22 +42,27 @@ signals = st.builds(
 )
 fakings = st.builds(FakingSearchConfig, positive, positive, st.integers(0, 50))
 
-tables = st.builds(
-    ThetaTable,
-    n=st.integers(2, 500),
-    theta_star=counts,
-    quantiles=st.dictionaries(finite, finite, max_size=9),
-    samples=st.lists(finite, max_size=12).map(tuple),
-    meta=st.builds(
-        CalibrationMeta,
-        signals,
-        regions(),
-        fakings,
-        st.integers(1, 100),
-        st.integers(1, 100),
-        st.integers(0, 2**64 - 1),
-    ),
-)
+
+@st.composite
+def tables(draw):
+    """A well-formed table: the nine deciles and one sample per cell."""
+    meta = CalibrationMeta(
+        draw(signals),
+        draw(regions()),
+        draw(fakings),
+        draw(st.integers(1, 4)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, 2**64 - 1)),
+    )
+    cells = meta.num_x0 * meta.num_x_per_x0
+    return ThetaTable(
+        n=draw(st.integers(2, 500)),
+        theta_star=draw(counts),
+        quantiles={t / 10: draw(finite) for t in range(1, 10)},
+        samples=tuple(draw(st.lists(finite, min_size=cells, max_size=cells))),
+        meta=meta,
+    )
+
 
 noise_modes = st.one_of(
     st.sampled_from(["negligible", "significant"]).map(NoiseMode),
@@ -93,7 +98,7 @@ def test_filter_result_round_trip(res):
     assert through_json(FilterResult, res) == res
 
 
-@given(tables)
+@given(tables())
 def test_theta_table_round_trip(table):
     assert through_json(ThetaTable, table) == table
 

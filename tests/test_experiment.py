@@ -8,7 +8,7 @@ import pytest
 
 from posverify import pool
 from posverify.adversary import FakingSearchConfig, Region
-from posverify.calibration import estimate_theta_table, table_to_dict
+from posverify.calibration import CalibrationMeta, estimate_theta_table, table_to_dict
 from posverify.channel import SignalParams
 from posverify.codec import write_json
 from posverify.experiment import (
@@ -50,6 +50,14 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def calibration_meta(cfg, positions, sets, seed, faking=None):
+    """A calibration of ``cfg``'s channel and region with its own counts,
+    seed and, optionally, search."""
+    return CalibrationMeta(
+        cfg.resolved_signal(), cfg.region, faking or cfg.faking, positions, sets, seed
+    )
 
 
 class TestNoiseScale:
@@ -215,9 +223,7 @@ class TestDeploy:
 class TestThetaSource:
     def test_file_source(self, tmp_path):
         cfg = tiny_config()
-        table = estimate_theta_table(
-            cfg.resolved_signal(), cfg.region, cfg.n, 3, 2, cfg.faking, seed=1
-        )
+        table = estimate_theta_table(cfg.n, calibration_meta(cfg, 3, 2, seed=1))
         path = tmp_path / "table.json"
         write_json(path, table_to_dict(table))
         resolved = resolve_theta_table(replace(cfg, theta_source=str(path)))
@@ -225,9 +231,7 @@ class TestThetaSource:
 
     def test_file_source_wrong_n(self, tmp_path):
         cfg = tiny_config()
-        table = estimate_theta_table(
-            cfg.resolved_signal(), cfg.region, cfg.n, 3, 2, cfg.faking, seed=1
-        )
+        table = estimate_theta_table(cfg.n, calibration_meta(cfg, 3, 2, seed=1))
         path = tmp_path / "table.json"
         write_json(path, table_to_dict(table))
         bigger = replace(cfg, n=12, theta_source=str(path))
@@ -238,9 +242,7 @@ class TestThetaSource:
         # a negligible-noise table would let a significant-noise run trust
         # an adversary that can barely lie
         neg = tiny_config(noise_mode=NoiseMode("negligible"))
-        table = estimate_theta_table(
-            neg.resolved_signal(), neg.region, neg.n, 3, 2, neg.faking, seed=1
-        )
+        table = estimate_theta_table(neg.n, calibration_meta(neg, 3, 2, seed=1))
         path = tmp_path / "table.json"
         write_json(path, table_to_dict(table))
         sig = tiny_config(theta_source=str(path))
@@ -249,9 +251,7 @@ class TestThetaSource:
 
     def test_file_source_from_another_region(self, tmp_path):
         cfg = tiny_config()
-        table = estimate_theta_table(
-            cfg.resolved_signal(), cfg.region, cfg.n, 3, 2, cfg.faking, seed=1
-        )
+        table = estimate_theta_table(cfg.n, calibration_meta(cfg, 3, 2, seed=1))
         path = tmp_path / "table.json"
         write_json(path, table_to_dict(table))
         # same diagonal, hence the same sigma: only the region differs
@@ -262,9 +262,7 @@ class TestThetaSource:
     def test_file_source_other_search_and_samples_accepted(self, tmp_path):
         cfg = tiny_config()
         finer = replace(cfg.faking, grid_step=3.0)
-        table = estimate_theta_table(
-            cfg.resolved_signal(), cfg.region, cfg.n, 2, 2, finer, seed=9
-        )
+        table = estimate_theta_table(cfg.n, calibration_meta(cfg, 2, 2, seed=9, faking=finer))
         path = tmp_path / "table.json"
         write_json(path, table_to_dict(table))
         assert resolve_theta_table(replace(cfg, theta_source=str(path))) == table
@@ -279,6 +277,22 @@ class TestThetaSource:
         path.write_text('{"n": 10, "theta_star": ')
         with pytest.raises(ValueError, match=f"bad theta table {re.escape(str(path))}"):
             resolve_theta_table(tiny_config(theta_source=str(path)))
+
+    @pytest.mark.parametrize(
+        "edit,why",
+        [
+            (dict(quantiles={}), "quantiles must be the deciles"),
+            # one sample where a 2 x 2 calibration has four cells
+            (dict(samples=[1.0], theta_star=999), "1 samples for 4 calibration cells"),
+        ],
+    )
+    def test_malformed_file_source_named(self, tmp_path, edit, why):
+        cfg = tiny_config()
+        table = estimate_theta_table(cfg.n, calibration_meta(cfg, 2, 2, seed=1))
+        path = tmp_path / "table.json"
+        write_json(path, {**table_to_dict(table), **edit})
+        with pytest.raises(ValueError, match=f"bad theta table {re.escape(str(path))}: {why}"):
+            resolve_theta_table(replace(cfg, theta_source=str(path)))
 
 
 # voters 0,1 accuse {3,4}; 2 accuses {3}; 3 accuses {0,1,2}; 4 accuses {3}.
@@ -424,10 +438,6 @@ class TestWorkers:
 
     def test_calibration_cells_share_the_pool(self, opened_pools):
         cfg = tiny_config()
-        table = estimate_theta_table(
-            cfg.resolved_signal(), cfg.region, cfg.n, 4, 3, cfg.faking, seed=0, workers=2
-        )
+        table = estimate_theta_table(cfg.n, calibration_meta(cfg, 4, 3, seed=0), workers=2)
         assert opened_pools == [(2, 8)]
-        assert table == estimate_theta_table(
-            cfg.resolved_signal(), cfg.region, cfg.n, 4, 3, cfg.faking, seed=0
-        )
+        assert table == estimate_theta_table(cfg.n, calibration_meta(cfg, 4, 3, seed=0))
