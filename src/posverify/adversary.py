@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from .channel import SignalParams, _deception_prob_arrays, ideal_received_power
+from .channel import SIGMA_BAND, SignalParams, _deception_prob_arrays, ideal_received_power
 
 # Candidate-generation constants: samples per distance circle, and how many
 # top-scoring candidates get their own pattern-search refinement.
@@ -114,6 +115,19 @@ _BAND_BELOW = 48.0
 _BAND_ABOVE = 17.8
 _BAND_SLACK = 1e-9
 
+# A claim whose ideal power lies at least e noise sigmas from the receiver's
+# true ideal power deceives it with probability at most
+# ndtr(3 + e) - ndtr(e - 3): the 3-sigma window's mass at its least-offset
+# position (clamping the window at zero power only removes mass). Candidate
+# bounds count each in-band pair at the bound of the highest level it
+# clears, 1 below the first. _BOUND_SLACK widens a candidate's summed bound
+# over the rounding of both sums, so it never falls below the exact score.
+_LEVELS = np.array([3.0, 4.0, 5.0, 6.5])
+_LEVEL_BOUNDS = np.concatenate(
+    [[1.0], ndtr(SIGMA_BAND + _LEVELS) - ndtr(_LEVELS - SIGMA_BAND)]
+)
+_BOUND_SLACK = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class _Receivers:
@@ -121,7 +135,10 @@ class _Receivers:
 
     ``r``, ``near2`` and ``far2`` are (receivers, fakers): the true
     distances, and the squared claimed distances outside of which a claim
-    deceives the receiver with probability exactly 0.0.
+    deceives the receiver with probability exactly 0.0. ``level_near2``
+    and ``level_far2`` are (levels, receivers, fakers): the squared claimed
+    distances outside of which a claim lies at least ``_LEVELS[k]`` sigmas
+    off in power.
     """
 
     gp: np.ndarray
@@ -129,6 +146,8 @@ class _Receivers:
     r: np.ndarray
     near2: np.ndarray
     far2: np.ndarray
+    level_near2: np.ndarray
+    level_far2: np.ndarray
 
 
 def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Receivers:
@@ -145,16 +164,25 @@ def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Rece
     m = params.path_loss_exponent
     with np.errstate(over="ignore", divide="ignore"):  # an edge may go to 0 or inf
         q = params.noise_sigma / ideal_received_power(params, r)
-        near = r * (1.0 + _BAND_ABOVE * q) ** (-1.0 / m) * (1.0 - _BAND_SLACK)
-        bounded = _BAND_BELOW * q < 1.0
-    far = np.full_like(r, np.inf)
-    far[bounded] = (
-        r[bounded] * (1.0 - _BAND_BELOW * q[bounded]) ** (-1.0 / m) * (1.0 + _BAND_SLACK)
+
+    def squared_edges(above, below):
+        # widened by _BAND_SLACK, so rounding never moves a pair inward
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            near = r * (1.0 + above * q) ** (-1.0 / m) * (1.0 - _BAND_SLACK)
+            far = np.where(
+                below * q < 1.0, r * (1.0 - below * q) ** (-1.0 / m) * (1.0 + _BAND_SLACK), np.inf
+            )
+        return near * near, far * far
+
+    levels = _LEVELS[:, None, None]
+    return _Receivers(
+        gp, x0, r, *squared_edges(_BAND_ABOVE, _BAND_BELOW), *squared_edges(levels, levels)
     )
-    return _Receivers(gp, x0, r, near * near, far * far)
 
 
-def _theta_batch(params: SignalParams, rx: _Receivers, points, owner) -> np.ndarray:
+def _theta_batch(
+    params: SignalParams, rx: _Receivers, points, owner, top: int | None = None
+) -> np.ndarray:
     """Expected number of deceived receivers for each point.
 
     Point p is claimed by faker ``owner[p]``; a scalar ``owner`` claims
@@ -166,10 +194,41 @@ def _theta_batch(params: SignalParams, rx: _Receivers, points, owner) -> np.ndar
     pairwise order, which is also the order of a one-point batch and of a
     per-node probability row's ``sum()``. A point therefore scores the same
     whatever else is in the batch.
+
+    With ``top``, only the points that can rank among the ``top`` best get
+    their exact value, the others -inf, so ``_ranked`` picks the same
+    ``top`` points as over every exact value. Points reach the channel in
+    order of an upper bound (``_bounds``): first the ``top`` highest, whose
+    lowest exact value is the floor, then every other point whose bound
+    reaches the floor, ties included. The rest cannot beat the floor.
     """
     # temporaries are freed as soon as they are spent, so the peak stays
     # below that of scoring every pair even when most pairs are in the band
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    d2, inside = _in_band(rx, pts, owner)
+    if top is None or len(pts) <= top:
+        del d2
+        return _scores(params, rx, pts, owner, inside)
+    bound = _bounds(rx, d2, inside, owner)
+    del d2
+
+    def score(keep):
+        part = owner if np.ndim(owner) == 0 else owner[keep]
+        values[keep] = _scores(params, rx, pts[keep], part, inside[:, keep])
+
+    values = np.full(len(pts), -np.inf)
+    first = np.zeros(len(pts), dtype=bool)
+    first[np.argsort(bound, kind="stable")[-top:]] = True
+    score(first)
+    rest = bound >= values[first].min()
+    rest &= ~first
+    score(rest)
+    return values
+
+
+def _in_band(rx: _Receivers, pts: np.ndarray, owner) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distances (receivers, points), and which of those pairs lie
+    inside the band of the point's faker."""
     bands = np.reshape(owner, -1)  # one faker's column for all points, or one per point
     d2 = np.subtract.outer(rx.gp[:, 0], pts[:, 0])
     d2 *= d2
@@ -179,7 +238,14 @@ def _theta_batch(params: SignalParams, rx: _Receivers, points, owner) -> np.ndar
     del dy2
     inside = d2 >= rx.near2[:, bands]
     inside &= d2 <= rx.far2[:, bands]
-    del d2
+    return d2, inside
+
+
+def _scores(
+    params: SignalParams, rx: _Receivers, pts: np.ndarray, owner, inside: np.ndarray
+) -> np.ndarray:
+    """Exact scores of ``pts`` from the in-band mask ``inside`` (receivers,
+    points) of their (receiver, point) pairs."""
     rows, cols = np.divmod(np.flatnonzero(inside), len(pts))
     claimed = np.hypot(rx.gp[rows, 0] - pts[cols, 0], rx.gp[rows, 1] - pts[cols, 1])
     true = rx.r[rows, owner if np.ndim(owner) == 0 else owner[cols]]
@@ -191,6 +257,36 @@ def _theta_batch(params: SignalParams, rx: _Receivers, points, owner) -> np.ndar
     out = np.zeros(inside.shape, order="F")
     out[inside] = probs
     return out.sum(axis=0)
+
+
+def _pair_bounds(rx: _Receivers, d2, pick) -> np.ndarray:
+    """Upper bound on the deception probability of each in-band pair, from
+    its squared claimed distance ``d2``; ``pick`` maps a (receivers,
+    fakers) table of ``rx`` to the pairs' entries."""
+    level = np.zeros(len(d2), dtype=np.uint8)
+    outside = np.empty(len(d2), dtype=bool)
+    for near2, far2 in zip(rx.level_near2, rx.level_far2):
+        level += np.less(d2, pick(near2), out=outside).view(np.uint8)
+        level += np.greater(d2, pick(far2), out=outside).view(np.uint8)
+    return _LEVEL_BOUNDS.take(level)
+
+
+def _bounds(rx: _Receivers, d2, inside, owner) -> np.ndarray:
+    """Upper bound on each point's exact score, from the squared distances
+    ``d2`` (receivers, points) of its in-band pairs ``inside``."""
+    at = np.flatnonzero(inside)
+    width = inside.shape[1]
+    # pairs come receiver by receiver, ``counts`` of each
+    counts = np.diff(np.searchsorted(at, np.arange(0, inside.size + 1, width)))
+    cols = at - np.repeat(np.arange(0, inside.size, width), counts)
+    d2 = d2.take(at)
+    del at
+    if np.ndim(owner) == 0:
+        pairs = _pair_bounds(rx, d2, lambda table: np.repeat(table[:, owner], counts))
+    else:
+        rows, bands = np.repeat(np.arange(len(counts)), counts), owner[cols]
+        pairs = _pair_bounds(rx, d2, lambda table: table[rows, bands])
+    return np.bincount(cols, pairs, width) * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
 
 
 def theta_for_fake(
@@ -205,24 +301,27 @@ def theta_for_fake(
     return float(_theta_batch(params, rx, fake_position, 0)[0])
 
 
-def _pair_reflections(x0: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """Second intersection of each pair of equal-range circles.
-
-    Every circle "points at distance r_j from receiver j" passes through the
-    true position; for a pair of receivers the other crossing is the mirror
-    image of the true position across the line joining them. Those points
-    keep two claimed distances exactly truthful and are the payoff spots
-    when the noise band is thin.
-    """
-    n = gp.shape[0]
-    if n < 2:
-        return np.empty((0, 2))
-    ii, jj = np.triu_indices(n, k=1)
+def _receiver_pairs(gp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each pair of distinct receivers as (a, b - a, |b - a|**2): what
+    ``_pair_reflections`` needs of them, shared by every faker."""
+    ii, jj = np.triu_indices(gp.shape[0], k=1)
     a, b = gp[ii], gp[jj]
     ab = b - a
     norm2 = np.einsum("ij,ij->i", ab, ab)
     keep = norm2 > 1e-18
-    a, ab, norm2 = a[keep], ab[keep], norm2[keep]
+    return a[keep], ab[keep], norm2[keep]
+
+
+def _pair_reflections(x0: np.ndarray, pairs) -> np.ndarray:
+    """Second intersection of each pair of equal-range circles.
+
+    Every circle "points at distance r_j from receiver j" passes through the
+    true position; for a pair of receivers (``_receiver_pairs``) the other
+    crossing is the mirror image of the true position across the line
+    joining them. Those points keep two claimed distances exactly truthful
+    and are the payoff spots when the noise band is thin.
+    """
+    a, ab, norm2 = pairs
     t = np.einsum("ij,ij->i", x0 - a, ab) / norm2
     proj = a + t[:, None] * ab
     return 2.0 * proj - x0
@@ -325,6 +424,7 @@ def optimize_fake_positions(
         ]
     )
     grid = _grid_points(region, config.grid_step)
+    pairs = _receiver_pairs(rx.gp)
     starts = []
     for f, x0 in enumerate(rx.x0):
         if not region.contains(x0):
@@ -333,13 +433,14 @@ def optimize_fake_positions(
         if corner_dist.max() < config.exclusion_radius:
             raise ValueError("exclusion ball covers the whole region; no feasible fake exists")
         cands = np.concatenate(
-            [grid, _pair_reflections(x0, rx.gp), _circle_points(x0, rx.gp, rx.r[:, f])]
+            [grid, _pair_reflections(x0, pairs), _circle_points(x0, rx.gp, rx.r[:, f])]
         )
         cands = _feasible(region, x0, config.exclusion_radius, cands)
-        values = _theta_batch(params, rx, cands, f)
         # refine from the strongest few starts; cheap insurance against the
         # greedy walk stalling on a local ridge
-        top = _ranked(cands, values)[:REFINE_STARTS]
+        values = _theta_batch(params, rx, cands, f, top=REFINE_STARTS)
+        top = np.flatnonzero(values > -np.inf)
+        top = top[_ranked(cands[top], values[top])[:REFINE_STARTS]]
         starts.append((cands[top], values[top], np.full(len(top), f), len(cands)))
     if not starts:
         return []

@@ -65,6 +65,8 @@ class ThetaTable:
     meta: CalibrationMeta
 
     def __post_init__(self) -> None:
+        if self.theta_star < 0:
+            raise ValueError(f"theta_star must be nonnegative, got {self.theta_star}")
         if sorted(self.quantiles) != list(_DECILES):
             raise ValueError(f"quantiles must be the deciles {list(_DECILES)}")
         cells = self.meta.num_x0 * self.meta.num_x_per_x0

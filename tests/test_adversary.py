@@ -9,10 +9,18 @@ from scipy.stats import norm
 
 from posverify.adversary import (
     _COMPASS,
+    REFINE_STARTS,
     FakingSearchConfig,
     Region,
+    _bounds,
+    _circle_points,
     _feasible,
     _grid_points,
+    _in_band,
+    _pair_bounds,
+    _pair_reflections,
+    _ranked,
+    _receiver_pairs,
     _receivers,
     _refine,
     _theta_batch,
@@ -384,6 +392,176 @@ class TestPrunedKernel:
         assert _theta_batch(params, rx, pts, 0).tobytes() == want.tobytes()
 
 
+@st.composite
+def edge_instances(draw):
+    exponent = draw(st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    # "huge" sits above transmit_power / 48, where no band has a far edge
+    params = noise_params(
+        exponent, draw(st.sampled_from(["1e-30", "negligible", "significant", "huge"]))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gp = REGION.sample(rng, draw(st.integers(1, 12)))
+    x0s = REGION.sample(rng, draw(st.integers(1, 3)))
+    return params, x0s, gp, rng
+
+
+def level_edge_claims(rx):
+    """Every squared level edge of every (receiver, faker), and one ulp
+    either side of it, as (d2, receiver, faker) of the in-band ones."""
+    edges = np.concatenate([rx.level_near2, rx.level_far2])
+    d2 = np.stack([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+    rows, bands = np.broadcast_arrays(
+        np.arange(rx.r.shape[0])[:, None], np.arange(rx.r.shape[1])[None, :]
+    )
+    rows, bands = (np.broadcast_to(a, d2.shape) for a in (rows, bands))
+    keep = (d2 > 0.0) & (d2 >= rx.near2[rows, bands]) & (d2 <= rx.far2[rows, bands])
+    return d2[keep], rows[keep], bands[keep]
+
+
+class TestBounds:
+    @given(edge_instances())
+    def test_pair_bound_holds_at_every_level_edge(self, instance):
+        params, x0s, gp, _ = instance
+        rx = _receivers(params, x0s, gp)
+        d2, rows, bands = level_edge_claims(rx)
+        bound = _pair_bounds(rx, d2, lambda table: table[rows, bands])
+        p = _deception_prob_arrays(params, rx.r[rows, bands], np.sqrt(d2))
+        assert np.all(bound >= p)
+
+    @given(edge_instances())
+    def test_point_bound_holds_for_claims_on_level_edges(self, instance):
+        params, x0s, gp, rng = instance
+        rx = _receivers(params, x0s, gp)
+        d2, rows, bands = level_edge_claims(rx)
+        angles = rng.uniform(0.0, 2.0 * np.pi, len(d2))
+        pts = gp[rows] + np.sqrt(d2)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        for f in range(len(x0s)):
+            d2f, inside = _in_band(rx, pts, f)
+            assert np.all(_bounds(rx, d2f, inside, f) >= _theta_batch(params, rx, pts, f))
+        # mixed owners: each point bounded with its own faker's edges
+        d2m, inside = _in_band(rx, pts, bands)
+        assert np.all(_bounds(rx, d2m, inside, bands) >= _theta_batch(params, rx, pts, bands))
+
+    def test_no_in_band_pair_bounds_just_above_zero(self):
+        # a point no receiver's band reaches scores exactly 0.0, so it ties a
+        # floor of 0.0 and reaches the (x, y) tie-break
+        params = make_params(1e-25)
+        rx = _receivers(params, (80.0, 80.0), [(20.0, 60.0)])
+        pts = np.array([(100.0, 0.0), (50.0, 50.0)])
+        d2, inside = _in_band(rx, pts, 0)
+        assert not inside.any()
+        bound = _bounds(rx, d2, inside, 0)
+        assert np.all(bound > 0.0) and np.all(bound < 1e-6)
+
+
+def exhaustive_top(params, rx, pts, owner, k=REFINE_STARTS):
+    """The ``k`` best points and their values by scoring every point: the
+    selection before bound pruning."""
+    values = _theta_batch(params, rx, pts, owner)
+    top = _ranked(pts, values)[:k]
+    return top, values[top]
+
+
+def pruned_top(params, rx, pts, owner, k=REFINE_STARTS):
+    values = _theta_batch(params, rx, pts, owner, top=k)
+    top = np.flatnonzero(values > -np.inf)
+    top = top[_ranked(pts[top], values[top])[:k]]
+    return top, values[top]
+
+
+def assert_same_top(params, rx, pts, owner, k=REFINE_STARTS):
+    got, want = pruned_top(params, rx, pts, owner, k), exhaustive_top(params, rx, pts, owner, k)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def search_candidates(params, x0, gp, config):
+    """A faker's candidate set, built as ``optimize_fake_positions`` does."""
+    rx = _receivers(params, x0, gp)
+    cands = np.concatenate(
+        [
+            _grid_points(REGION, config.grid_step),
+            _pair_reflections(rx.x0[0], _receiver_pairs(rx.gp)),
+            _circle_points(rx.x0[0], rx.gp, rx.r[:, 0]),
+        ]
+    )
+    return _feasible(REGION, rx.x0[0], config.exclusion_radius, cands)
+
+
+@st.composite
+def top_instances(draw):
+    exponent = draw(st.sampled_from([2.0, 3.0, 4.0]))
+    params = noise_params(exponent, draw(st.sampled_from(["negligible", "significant"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0s = REGION.sample(rng, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        # mirror-symmetric about x = 50 on a dyadic grid: mirrored points
+        # score bit-identically, so ties at the floor are common
+        half = np.round(rng.uniform(0.0, 50.0, (draw(st.integers(1, 4)), 2)) * 4.0) / 4.0
+        gp = np.concatenate([half, np.stack([100.0 - half[:, 0], half[:, 1]], axis=1)])
+        x0s[:, 0] = 50.0
+    else:
+        gp = REGION.sample(rng, draw(st.integers(1, 12)))
+    radius = draw(st.sampled_from([2.0, 7.07, 30.0]))
+    cfg = FakingSearchConfig(exclusion_radius=radius, grid_step=12.5)
+    pts = search_candidates(params, x0s[0], gp, cfg)
+    # duplicated candidates tie exactly, whatever the layout
+    pts = np.concatenate([pts, pts[rng.integers(0, len(pts), draw(st.integers(0, 20)))]])
+    pts = pts[: draw(st.integers(1, len(pts)))]
+    return params, x0s, gp, pts, draw(st.sampled_from([1, 2, REFINE_STARTS, 8]))
+
+
+class TestPrunedTop:
+    @given(top_instances())
+    def test_same_top_as_scoring_every_candidate(self, instance):
+        params, x0s, gp, pts, k = instance
+        rx = _receivers(params, x0s, gp)
+        for f in range(len(x0s)):
+            assert_same_top(params, rx, pts, f, k)
+        assert_same_top(params, rx, pts, np.arange(len(pts)) % len(x0s), k)
+
+    def test_ties_at_the_floor_reach_the_tie_break(self):
+        # mirror-symmetric receivers and duplicated candidates: the fifth
+        # best value is shared by points that only (x, y) tells apart
+        params = noise_params(2.0, "significant")
+        gp = np.array([(25.0, 50.0), (75.0, 50.0), (40.0, 80.0), (60.0, 80.0)])
+        rx = _receivers(params, (50.0, 10.0), gp)
+        grid = _grid_points(REGION, 12.5)
+        pts = np.concatenate([grid[::-1], grid[:7]])
+        values = _theta_batch(params, rx, pts, 0)
+        fifth = np.sort(values)[-REFINE_STARTS]
+        assert np.sum(values == fifth) > 1
+        assert_same_top(params, rx, pts, 0)
+
+    def test_fewer_candidates_than_starts(self):
+        params = noise_params(2.0, "significant")
+        rx = _receivers(params, (50.0, 10.0), [(25.0, 50.0), (75.0, 50.0)])
+        pts = np.array([(90.0, 90.0), (10.0, 90.0), (50.0, 60.0)])
+        got = _theta_batch(params, rx, pts, 0, top=REFINE_STARTS)
+        assert got.tobytes() == _theta_batch(params, rx, pts, 0).tobytes()
+        assert_same_top(params, rx, pts, 0)
+
+    def test_all_zero_candidates_rank_by_position(self):
+        params = make_params(1e-25)
+        rx = _receivers(params, (80.0, 80.0), [(20.0, 60.0)])
+        pts = _grid_points(REGION, 25.0)[::-1]
+        assert not _theta_batch(params, rx, pts, 0).any()
+        assert_same_top(params, rx, pts, 0)
+        top, values = pruned_top(params, rx, pts, 0)
+        assert pts[top[0]].tolist() == [0.0, 0.0] and not values.any()
+
+    @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-q-55"])
+    def test_preset_candidates(self, name):
+        cfg = PRESETS[name]
+        params = cfg.resolved_signal()
+        nodes = deploy(cfg, 0)
+        genuine = np.array([n.true_position for n in nodes[: cfg.n0]])
+        for node in nodes[cfg.n0 :: 7]:
+            pts = search_candidates(params, node.true_position, genuine, cfg.faking)
+            rx = _receivers(params, node.true_position, genuine)
+            assert_same_top(params, rx, pts, 0)
+
+
 def peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -408,6 +586,18 @@ class TestKernelMemory:
         rx = _receivers(self.params, self.x0s[:1], self.gp)
         pruned = peak_bytes(lambda: _theta_batch(self.params, rx, self.pts, 0))
         dense = peak_bytes(lambda: dense_theta_batch(self.params, self.x0s[0], self.gp, self.pts))
+        assert pruned <= dense
+
+    def test_pruned_candidate_scoring_peaks_below_dense(self):
+        # a calibration cell's size: 100 receivers, about 2.4k candidates
+        cfg = FakingSearchConfig(
+            exclusion_radius=0.2 * REGION.diagonal, grid_step=REGION.diagonal / 30.0
+        )
+        pts = search_candidates(self.params, self.x0s[0], self.gp, cfg)
+        assert 2000 < len(pts) < 3000
+        rx = _receivers(self.params, self.x0s[:1], self.gp)
+        pruned = peak_bytes(lambda: _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS))
+        dense = peak_bytes(lambda: dense_theta_batch(self.params, self.x0s[0], self.gp, pts))
         assert pruned <= dense
 
     def test_refine_group_peaks_below_dense(self):

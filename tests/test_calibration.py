@@ -200,6 +200,16 @@ class TestPersistence:
             assert cached_theta_table(**kwargs) == first
         assert load_theta_table(path) == first
 
+    def test_cache_entry_with_negative_theta_star_is_recomputed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
+        kwargs = dict(n=6, meta=sig_meta(2, 2, seed=3))
+        first = cached_theta_table(**kwargs)
+        (path,) = tmp_path.glob("theta_n6_*.json")
+        path.write_text(json.dumps({**table_to_dict(first), "theta_star": -1}))
+        with pytest.warns(UserWarning, match="theta_star must be nonnegative"):
+            assert cached_theta_table(**kwargs) == first
+        assert load_theta_table(path) == first
+
     def test_cache_entry_for_other_inputs_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
         kwargs = dict(n=6, meta=sig_meta(3, 2, seed=42))

@@ -284,6 +284,8 @@ class TestThetaSource:
             (dict(quantiles={}), "quantiles must be the deciles"),
             # one sample where a 2 x 2 calibration has four cells
             (dict(samples=[1.0], theta_star=999), "1 samples for 4 calibration cells"),
+            # would otherwise load, and fail only in the first trial's filter
+            (dict(theta_star=-1), "theta_star must be nonnegative, got -1"),
         ],
     )
     def test_malformed_file_source_named(self, tmp_path, edit, why):
