@@ -131,9 +131,12 @@ _BOUND_SLACK = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class _Receivers:
-    """One genuine set as seen from each faker's true position.
+    """Genuine receivers as seen from each faker's true position.
 
-    ``r``, ``near2`` and ``far2`` are (receivers, fakers): the true
+    ``gp`` is one set shared by every faker, (receivers, 2), or one set
+    per faker, (fakers, receivers, 2); ``_batch_receivers`` picks a
+    batch's coordinates from it. ``r``, ``near2`` and ``far2`` are
+    (receivers, fakers), each faker's column from its own set: the true
     distances, and the squared claimed distances outside of which a claim
     deceives the receiver with probability exactly 0.0. ``level_near2``
     and ``level_far2`` are (levels, receivers, fakers): the squared claimed
@@ -151,11 +154,22 @@ class _Receivers:
 
 
 def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Receivers:
+    """``genuine_positions`` is one shared set, or with three axes one set
+    per true position."""
     x0 = np.asarray(true_positions, dtype=float).reshape(-1, 2)
-    gp = np.asarray(genuine_positions, dtype=float).reshape(-1, 2)
-    if gp.shape[0] == 0:
-        raise ValueError("need at least one genuine position")
-    r = np.hypot(gp[:, 0, None] - x0[None, :, 0], gp[:, 1, None] - x0[None, :, 1])
+    gp = np.asarray(genuine_positions, dtype=float)
+    if gp.ndim == 3:
+        if gp.shape[0] != len(x0) or gp.shape[1] == 0 or gp.shape[2] != 2:
+            raise ValueError(
+                f"genuine sets of shape {gp.shape} for true positions of shape {x0.shape}: "
+                f"need one set of at least one receiver per true position, ({len(x0)}, receivers, 2)"
+            )
+    else:
+        gp = gp.reshape(-1, 2)
+        if gp.shape[0] == 0:
+            raise ValueError("need at least one genuine position")
+    gx, gy = _batch_receivers(gp, np.arange(len(x0)))
+    r = np.hypot(gx - x0[:, 0], gy - x0[:, 1])
     if np.any(r <= 0):
         raise ValueError("a genuine node coincides with the faker's true position")
     # claimed distance c has ideal power ideal(r) * (r/c)**m, so the power
@@ -226,13 +240,27 @@ def _theta_batch(
     return values
 
 
+def _batch_receivers(gp: np.ndarray, owner) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of the receivers that score a batch claimed by ``owner``,
+    from a ``_Receivers.gp``. Each is (receivers, 1) when one set serves
+    every point, a shared set or a scalar ``owner``'s own, so it broadcasts
+    against the points unchanged; otherwise (receivers, points), point p's
+    own set in column p."""
+    if gp.ndim == 2:
+        return gp[:, 0, None], gp[:, 1, None]
+    if np.ndim(owner) == 0:
+        return gp[owner, :, 0, None], gp[owner, :, 1, None]
+    return gp[owner, :, 0].T, gp[owner, :, 1].T
+
+
 def _in_band(rx: _Receivers, pts: np.ndarray, owner) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances (receivers, points), and which of those pairs lie
     inside the band of the point's faker."""
     bands = np.reshape(owner, -1)  # one faker's column for all points, or one per point
-    d2 = np.subtract.outer(rx.gp[:, 0], pts[:, 0])
+    gx, gy = _batch_receivers(rx.gp, owner)
+    d2 = gx - pts[:, 0]
     d2 *= d2
-    dy2 = np.subtract.outer(rx.gp[:, 1], pts[:, 1])
+    dy2 = gy - pts[:, 1]
     dy2 *= dy2
     d2 += dy2
     del dy2
@@ -247,7 +275,9 @@ def _scores(
     """Exact scores of ``pts`` from the in-band mask ``inside`` (receivers,
     points) of their (receiver, point) pairs."""
     rows, cols = np.divmod(np.flatnonzero(inside), len(pts))
-    claimed = np.hypot(rx.gp[rows, 0] - pts[cols, 0], rx.gp[rows, 1] - pts[cols, 1])
+    gx, gy = _batch_receivers(rx.gp, owner)
+    at = rows, (cols if gx.shape[1] > 1 else 0)
+    claimed = np.hypot(gx[at] - pts[cols, 0], gy[at] - pts[cols, 1])
     true = rx.r[rows, owner if np.ndim(owner) == 0 else owner[cols]]
     del rows, cols
     probs = _deception_prob_arrays(params, true, claimed)
@@ -398,7 +428,10 @@ def optimize_fake_positions(
     config: FakingSearchConfig,
 ) -> list[FakingOutcome]:
     """Best position to claim from each of ``true_positions``, by expected
-    deceptions of the one shared set of genuine receivers.
+    deceptions of genuine receivers: one set shared by every faker, (receivers,
+    2), or one set per faker, (fakers, receivers, 2). With one set per faker,
+    one call searches independent instances in lockstep, as calibration
+    searches a chunk of its cells.
 
     Deterministic search, per faker: a coarse grid over the region, plus
     geometry candidates (pairwise circle crossings and points on each
@@ -424,7 +457,8 @@ def optimize_fake_positions(
         ]
     )
     grid = _grid_points(region, config.grid_step)
-    pairs = _receiver_pairs(rx.gp)
+    shared = rx.gp.ndim == 2
+    pairs = _receiver_pairs(rx.gp) if shared else None
     starts = []
     for f, x0 in enumerate(rx.x0):
         if not region.contains(x0):
@@ -432,8 +466,13 @@ def optimize_fake_positions(
         corner_dist = np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1])
         if corner_dist.max() < config.exclusion_radius:
             raise ValueError("exclusion ball covers the whole region; no feasible fake exists")
+        gp = rx.gp if shared else rx.gp[f]
         cands = np.concatenate(
-            [grid, _pair_reflections(x0, pairs), _circle_points(x0, rx.gp, rx.r[:, f])]
+            [
+                grid,
+                _pair_reflections(x0, pairs if shared else _receiver_pairs(gp)),
+                _circle_points(x0, gp, rx.r[:, f]),
+            ]
         )
         cands = _feasible(region, x0, config.exclusion_radius, cands)
         # refine from the strongest few starts; cheap insurance against the
@@ -457,9 +496,8 @@ def optimize_fake_positions(
     # refined start by rank is at least as good as its best candidate
     order = _ranked(pts, vals, owner)
     fakes = pts[order[np.unique(owner[order], return_index=True)[1]]]
-    claimed = np.hypot(
-        rx.gp[None, :, 0] - fakes[:, 0, None], rx.gp[None, :, 1] - fakes[:, 1, None]
-    )
+    gx, gy = _batch_receivers(rx.gp, np.arange(len(fakes)))
+    claimed = np.hypot(gx.T - fakes[:, 0, None], gy.T - fakes[:, 1, None])
     probs = _deception_prob_arrays(params, rx.r.T, claimed)
     return [
         FakingOutcome(

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .adversary import FakingSearchConfig, Region, optimize_fake_position
+from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .channel import TRUTHFUL_ACCEPT_PROB, SignalParams
 from .codec import from_json, read_json, to_json, write_json
 from .pool import pool_map
@@ -32,6 +32,11 @@ _DECILES = tuple(t / 10 for t in QUANTILE_TENTHS)
 # apart while staying reproducible under any execution order.
 _DOMAIN_X0 = 1
 _DOMAIN_GENUINE = 2
+
+# Cells per lockstep search, and per pool job: 10 and 50 jobs for 100- and
+# 500-cell tables, an even split over 2 workers. Chunks of 50 or 100 cells
+# searched slower per cell than 10, their refinement batches being larger.
+CHUNK_CELLS = 10
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,27 @@ def _cell_rng(seed: int, domain: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain, *key)))
 
 
-def _calibration_cell(job) -> float:
-    meta, n_genuine, i, j = job
+def _cell_inputs(meta: CalibrationMeta, n_genuine: int, i: int, j: int):
+    """Cell (i, j)'s faker position (2,) and genuine set (n_genuine, 2),
+    from its own streams."""
     region = meta.region
     x0 = _cell_rng(meta.seed, _DOMAIN_X0, i).uniform(
         (region.x_min, region.y_min), (region.x_max, region.y_max)
     )
-    genuine = region.sample(_cell_rng(meta.seed, _DOMAIN_GENUINE, i, j), n_genuine)
-    return optimize_fake_position(meta.signal, region, x0, genuine, meta.faking).expected_deceived
+    return x0, region.sample(_cell_rng(meta.seed, _DOMAIN_GENUINE, i, j), n_genuine)
+
+
+def _calibration_chunk(job) -> list[float]:
+    """Optimizer values of the cells ``cells``, a range of x0-major cell
+    indices, searched in lockstep; each equals the cell searched alone."""
+    meta, n_genuine, cells = job
+    x0, genuine = zip(
+        *(_cell_inputs(meta, n_genuine, *divmod(k, meta.num_x_per_x0)) for k in cells)
+    )
+    outcomes = optimize_fake_positions(
+        meta.signal, meta.region, np.array(x0), np.array(genuine), meta.faking
+    )
+    return [o.expected_deceived for o in outcomes]
 
 
 def estimate_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> ThetaTable:
@@ -116,8 +134,12 @@ def estimate_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> The
 
     n_genuine = math.ceil(n / 2)
     sets = meta.num_x_per_x0
-    jobs = [(meta, n_genuine, i, j) for i in range(meta.num_x0) for j in range(sets)]
-    samples = pool_map(_calibration_cell, jobs, workers, chunksize=8)
+    cells = meta.num_x0 * sets
+    jobs = [
+        (meta, n_genuine, range(lo, min(lo + CHUNK_CELLS, cells)))
+        for lo in range(0, cells, CHUNK_CELLS)
+    ]
+    samples = [s for chunk in pool_map(_calibration_chunk, jobs, workers) for s in chunk]
 
     per_x0_means = [
         float(np.mean(samples[i * sets : (i + 1) * sets])) for i in range(meta.num_x0)

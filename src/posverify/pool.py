@@ -5,7 +5,7 @@ from __future__ import annotations
 from concurrent import futures
 
 
-def pool_map(fn, jobs, workers: int, chunksize: int = 1) -> list:
+def pool_map(fn, jobs, workers: int) -> list:
     """``[fn(job) for job in jobs]``, in job order.
 
     With ``workers > 1`` and more than one job, the jobs run in a process
@@ -23,4 +23,4 @@ def pool_map(fn, jobs, workers: int, chunksize: int = 1) -> list:
     # 4-trial sig-noise-q-55 runs from 4.0 to 2.3 trials/s and added 11-12%
     # to peak memory
     with futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs, chunksize=chunksize))
+        return list(pool.map(fn, jobs))

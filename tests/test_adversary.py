@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -638,3 +639,47 @@ class TestSearchProperties:
             assert out.expected_deceived == theta_for_fake(params, x0, fake, gp)
             for cand in _feasible(REGION, x0, cfg.exclusion_radius, grid):
                 assert out.expected_deceived >= theta_for_fake(params, x0, cand, gp)
+
+
+@st.composite
+def per_faker_instances(draw):
+    exponent = draw(st.sampled_from([2.0, 3.0, 4.0]))
+    params = noise_params(exponent, draw(st.sampled_from(["negligible", "significant"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = REGION.sample(rng, draw(st.integers(1, 3)))
+    # repeated indices give fakers that share an x0 but face different sets
+    picks = draw(st.lists(st.integers(0, len(positions) - 1), min_size=1, max_size=5))
+    x0s = positions[picks]
+    sets = REGION.sample(rng, len(x0s) * draw(st.integers(1, 8))).reshape(len(x0s), -1, 2)
+    cfg = FakingSearchConfig(
+        exclusion_radius=draw(st.sampled_from([2.0, 7.07, 30.0])),
+        grid_step=20.0,
+        refine_iters=draw(st.integers(0, 4)),
+    )
+    return params, x0s, sets, cfg
+
+
+class TestPerFakerSets:
+    @given(per_faker_instances())
+    def test_each_faker_gets_its_solo_outcome(self, instance):
+        params, x0s, sets, cfg = instance
+        together = optimize_fake_positions(params, REGION, x0s, sets, cfg)
+        assert len(together) == len(x0s)
+        for x0, gp, got in zip(x0s, sets, together):
+            alone = optimize_fake_position(params, REGION, x0, gp, cfg)
+            for field in ("fake_position", "expected_deceived", "per_node_probs"):
+                have, want = getattr(got, field), getattr(alone, field)
+                assert np.array(have).tobytes() == np.array(want).tobytes()
+
+    def test_set_count_must_match_the_true_positions(self):
+        x0s = REGION.sample(np.random.default_rng(1), 3)
+        sets = REGION.sample(np.random.default_rng(2), 8).reshape(2, 4, 2)
+        cfg = FakingSearchConfig(exclusion_radius=5.0, grid_step=20.0)
+        with pytest.raises(ValueError, match=re.escape("(2, 4, 2)") + ".*" + re.escape("(3, 2)")):
+            optimize_fake_positions(make_params(1e-9), REGION, x0s, sets, cfg)
+
+    def test_sets_need_a_receiver(self):
+        x0s = REGION.sample(np.random.default_rng(1), 3)
+        cfg = FakingSearchConfig(exclusion_radius=5.0, grid_step=20.0)
+        with pytest.raises(ValueError, match=re.escape("(3, 0, 2)") + ".*" + re.escape("(3, 2)")):
+            optimize_fake_positions(make_params(1e-9), REGION, x0s, np.zeros((3, 0, 2)), cfg)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from posverify.adversary import FakingSearchConfig, Region
+from posverify.adversary import FakingSearchConfig, Region, optimize_fake_position
 from posverify.calibration import (
     CalibrationMeta,
     ThetaTable,
-    _calibration_cell,
+    _calibration_chunk,
+    _cell_inputs,
     _decile_rank,
     cached_theta_table,
     estimate_theta_table,
@@ -24,7 +25,7 @@ from posverify.calibration import (
     threshold,
 )
 from posverify.channel import SignalParams, ideal_received_power
-from posverify.experiment import PRESETS
+from posverify.experiment import PRESETS, NoiseMode
 
 
 class TestThreshold:
@@ -109,6 +110,15 @@ def small_table(seed=42, workers=1):
     return estimate_theta_table(6, sig_meta(seed=seed), workers=workers)
 
 
+def preset_table(name, seed):
+    cfg = PRESETS[name]
+    meta = CalibrationMeta(
+        cfg.resolved_signal(), cfg.region, cfg.faking,
+        cfg.calibration_positions, cfg.calibration_sets, seed,
+    )
+    return cached_theta_table(cfg.n, meta)
+
+
 class TestEstimateThetaTable:
     def test_shape_and_summary_consistency(self):
         t = small_table()
@@ -151,11 +161,25 @@ class TestEstimateThetaTable:
             cfg.calibration_positions, cfg.calibration_sets, seed=0,
         )
         n_genuine = math.ceil(cfg.n / 2)
-        row = [_calibration_cell((meta, n_genuine, 22, j)) for j in range(meta.num_x_per_x0)]
+        sets = meta.num_x_per_x0
+        row = _calibration_chunk((meta, n_genuine, range(22 * sets, 23 * sets)))
         high = [j for j, v in enumerate(row) if v > 2.5]
         assert len(high) == 1
         assert math.ceil(np.mean(row)) == 3
         assert math.ceil(np.mean(row[: high[0]] + row[high[0] + 1 :])) == 2
+
+    # calibration seeds 0-5 at the preset sample counts, taken from the
+    # search as it was before cells were searched in lockstep
+    @pytest.mark.parametrize("seed,theta_star", enumerate([3, 2, 3, 3, 3, 2]))
+    def test_negligible_noise_theta_star_over_seeds(self, seed, theta_star):
+        assert preset_table("neg-noise-52", seed).theta_star == theta_star
+
+    def test_significant_noise_schedule_steps_down_at_seed_5(self):
+        # the sampled 0.9 quantile sits above the ceiling of the worst
+        # per-position mean, so the quantile schedule is not monotone
+        t = preset_table("sig-noise-62", 5)
+        assert t.theta_star == 21
+        assert t.schedule()[-2:] == (21.46620059149831, 21.0)
 
     def test_schedule_layout(self):
         t = small_table()
@@ -164,6 +188,32 @@ class TestEstimateThetaTable:
         assert sched[0] == 0.0
         assert sched[1] == t.quantiles[0.1]
         assert sched[-1] == float(t.theta_star)
+
+
+def neg_params():
+    base = SignalParams(transmit_power=1.0, wavelength=0.125)
+    return SignalParams(1.0, 0.125, noise_sigma=NoiseMode("negligible").sigma_for(base, REGION))
+
+
+class TestLockstepChunks:
+    # 3 positions x 7 sets: chunks of 3, 10 and 20 cells cross x0 rows
+    @pytest.mark.parametrize("params", [sig_params, neg_params], ids=["significant", "negligible"])
+    @pytest.mark.parametrize("cells", [range(4, 5), range(5, 8), range(2, 12), range(1, 21)])
+    def test_chunk_equals_each_cell_searched_alone(self, params, cells):
+        meta = CalibrationMeta(params(), REGION, FAKING, 3, 7, seed=5)
+        chunk = _calibration_chunk((meta, 6, cells))
+        alone = [
+            optimize_fake_position(
+                meta.signal, REGION, *_cell_inputs(meta, 6, *divmod(k, 7)), FAKING
+            ).expected_deceived
+            for k in cells
+        ]
+        assert np.array(chunk).tobytes() == np.array(alone).tobytes()
+
+    def test_chunks_cover_the_cells_in_order(self):
+        meta = sig_meta(3, 7, seed=5)
+        table = estimate_theta_table(12, meta)
+        assert table.samples == tuple(_calibration_chunk((meta, 6, range(21))))
 
 
 class TestPersistence:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from posverify import pool
+from posverify import calibration, pool
 from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import CalibrationMeta, estimate_theta_table, table_to_dict
 from posverify.channel import SignalParams
@@ -438,8 +438,17 @@ class TestWorkers:
         run_experiment(cfg, workers=8)
         assert opened_pools == [(3, 1)]
 
-    def test_calibration_cells_share_the_pool(self, opened_pools):
+    def test_calibration_cells_share_the_pool(self, opened_pools, monkeypatch):
+        # one job per chunk of CHUNK_CELLS contiguous cells, the last one short
+        layouts = []
+
+        def recording_pool_map(fn, jobs, workers):
+            layouts.append([job[2] for job in jobs])
+            return pool.pool_map(fn, jobs, workers)
+
+        monkeypatch.setattr(calibration, "pool_map", recording_pool_map)
         cfg = tiny_config()
         table = estimate_theta_table(cfg.n, calibration_meta(cfg, 4, 3, seed=0), workers=2)
-        assert opened_pools == [(2, 8)]
+        assert opened_pools == [(2, 1)]
+        assert layouts == [[range(0, 10), range(10, 12)]]
         assert table == estimate_theta_table(cfg.n, calibration_meta(cfg, 4, 3, seed=0))
