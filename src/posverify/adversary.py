@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .channel import SIGMA_BAND, SignalParams, _deception_prob_arrays, ideal_received_power
+from .channel import (
+    SIGMA_BAND,
+    SignalParams,
+    _deception_prob_arrays,
+    ideal_received_power,
+    require_finite,
+)
 
 # Candidate-generation constants: samples per distance circle, and how many
 # top-scoring candidates get their own pattern-search refinement.
@@ -36,6 +42,7 @@ class Region:
     y_max: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(
                 f"degenerate region [{self.x_min}, {self.x_max}] x [{self.y_min}, {self.y_max}]"
@@ -89,6 +96,7 @@ class FakingSearchConfig:
     refine_iters: int = 25
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.exclusion_radius <= 0:
             raise ValueError(f"exclusion_radius must be positive, got {self.exclusion_radius}")
         if self.grid_step <= 0:

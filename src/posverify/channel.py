@@ -9,7 +9,7 @@ test when the signal actually travelled another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -22,6 +22,15 @@ SIGMA_BAND = 3.0
 
 # 2*Phi(3) - 1: probability that a truthful claim passes the 3-sigma test.
 TRUTHFUL_ACCEPT_PROB = 0.9973002039367398
+
+
+def require_finite(obj) -> None:
+    """Reject a dataclass whose numeric fields hold NaN or an infinity,
+    naming the first such field; JSON files may spell both."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 class Verdict(Enum):
@@ -53,6 +62,7 @@ class SignalParams:
     path_loss_exponent: float = 2.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.transmit_power <= 0:
             raise ValueError(f"transmit_power must be positive, got {self.transmit_power}")
         if self.wavelength <= 0:

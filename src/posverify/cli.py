@@ -6,9 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .adversary import FakingSearchConfig, Region
-from .calibration import CalibrationMeta, estimate_theta_table, table_to_dict
-from .channel import SignalParams
+from .calibration import estimate_theta_table, table_to_dict
 from .codec import write_csv, write_json
 from .experiment import (
     NOISE_MODES,
@@ -21,37 +19,17 @@ from .experiment import (
 )
 
 
-def _build_region(width: float, height: float) -> Region:
-    return Region(0.0, float(width), 0.0, float(height))
-
-
-def _faking_config(args, region: Region) -> FakingSearchConfig:
-    diag = region.diagonal
-    radius = args.exclusion_radius if args.exclusion_radius is not None else 0.2 * diag
-    step = args.grid_step if args.grid_step is not None else diag / 30.0
-    return FakingSearchConfig(radius, step, args.refine_iters)
-
-
-def _noise_mode(args) -> NoiseMode:
-    if args.noise_mode == "explicit":
-        if args.sigma is None:
-            raise ValueError("--noise-mode explicit requires --sigma")
-        return NoiseMode("explicit", args.sigma)
-    if args.sigma is not None:
-        raise ValueError("--sigma only applies to --noise-mode explicit")
-    return NoiseMode(args.noise_mode)
-
-
 def _cmd_theta(args) -> int:
-    region = _build_region(*args.region)
-    signal = SignalParams(
-        transmit_power=args.transmit_power,
-        wavelength=args.wavelength,
-        path_loss_exponent=args.path_loss_exponent,
-    )
-    signal = replace(signal, noise_sigma=_noise_mode(args).sigma_for(signal, region))
-    meta = CalibrationMeta(signal, region, _faking_config(args, region), *args.samples, args.seed)
-    table = estimate_theta_table(args.n, meta, workers=args.workers)
+    config = load_config(args.config) if args.config is not None else PRESETS["sig-noise-62"]
+    changes = {}
+    if args.seed is not None:
+        changes["seed"] = args.seed
+    if args.samples is not None:
+        changes["calibration_positions"], changes["calibration_sets"] = args.samples
+    if args.noise_mode is not None or args.sigma is not None:
+        changes["noise_mode"] = NoiseMode(args.noise_mode or config.noise_mode.mode, args.sigma)
+    meta = replace(config, **changes).calibration_meta()
+    table = estimate_theta_table(config.n if args.n is None else args.n, meta, workers=args.workers)
     write_json(args.out, table_to_dict(table))
     print(f"theta_star={table.theta_star} samples={len(table.samples)} -> {args.out}")
     return 0
@@ -100,19 +78,21 @@ def _parse_span(text: str) -> range:
 
 def _cmd_sweep(args) -> int:
     base = _apply_overrides(_base_config(args), args)
+    # every point's config first, so a bad n0 fails before any point runs
+    configs = [replace(base, n0=n0) for n0 in _parse_span(args.n0)]
     rows = []
-    for n0 in _parse_span(args.n0):
-        report = run_experiment(replace(base, n0=n0), workers=args.workers)
+    for config in configs:
+        report = run_experiment(config, workers=args.workers)
         rows.append(
             {
-                "n0": n0,
+                "n0": config.n0,
                 "success_rate": report.success_rate,
                 "mean_genuine_retained": report.mean_genuine_retained,
                 "mean_passes": report.mean_rounds,
             }
         )
         print(
-            f"n0={n0}: success_rate={report.success_rate:.3f} "
+            f"n0={config.n0}: success_rate={report.success_rate:.3f} "
             f"mean_genuine_retained={report.mean_genuine_retained:.2f}"
         )
     if args.report is not None:
@@ -122,15 +102,6 @@ def _cmd_sweep(args) -> int:
             write_csv(args.report, list(rows[0]), (list(r.values()) for r in rows))
         print(f"report -> {args.report}")
     return 0
-
-
-def _add_signal_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--transmit-power", type=float, default=1.0)
-    sub.add_argument("--wavelength", type=float, default=0.125)
-    sub.add_argument("--path-loss-exponent", type=float, default=2.0)
-    sub.add_argument("--exclusion-radius", type=float, default=None)
-    sub.add_argument("--grid-step", type=float, default=None)
-    sub.add_argument("--refine-iters", type=int, default=25)
 
 
 def _add_source_flags(sub: argparse.ArgumentParser) -> None:
@@ -153,16 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # unset options take the config's value; without --config, the
+    # presets' deployment in significant noise
     theta = commands.add_parser("theta", help="calibrate a theta table and save it")
-    theta.add_argument("--n", type=int, required=True)
-    theta.add_argument("--region", type=float, nargs=2, metavar=("W", "H"), default=(100.0, 100.0))
-    theta.add_argument("--noise-mode", choices=NOISE_MODES, default="significant")
-    theta.add_argument("--sigma", type=float, default=None)
-    theta.add_argument("--samples", type=int, nargs=2, metavar=("X0", "SETS"), default=(25, 20))
-    theta.add_argument("--seed", type=int, default=0)
+    theta.add_argument("--config", help="experiment config JSON")
+    theta.add_argument("--n", type=int)
+    theta.add_argument("--noise-mode", choices=NOISE_MODES)
+    theta.add_argument("--sigma", type=float)
+    theta.add_argument("--samples", type=int, nargs=2, metavar=("X0", "SETS"))
+    theta.add_argument("--seed", type=int)
     theta.add_argument("--workers", type=int, default=1)
     theta.add_argument("--out", required=True)
-    _add_signal_flags(theta)
     theta.set_defaults(func=_cmd_theta)
 
     run = commands.add_parser("run", help="run one experiment")

@@ -3,10 +3,12 @@
 ``to_json`` turns a dataclass into a dict of its fields, leaving out fields
 that are ``None``; tuples become lists, frozensets sorted lists, and dict
 keys are kept. ``from_json`` reverses it from the field type hints: a key
-that is absent takes the field's default, and a value that is already an
-instance of its type passes through. Files are written to ``<name>.tmp``
-and renamed into place, so a reader never sees half a file; ``read_json``
-names the file and what it should hold when reading one fails.
+that is absent takes the field's default, a value that is already an
+instance of its type passes through, and an ``int`` takes only an integer
+(not a bool); an error inside a field or dict value names its key. Files
+are written to ``<name>.tmp`` and renamed into place, so a reader never
+sees half a file; ``read_json`` names the file and what it should hold
+when reading one fails.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ def to_json(obj):
 
 def from_json(tp, data):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is int and (isinstance(data, bool) or not isinstance(data, int)):
+        raise TypeError(f"expected an integer, got {data!r}")
     if origin is None and isinstance(data, tp):
         return data
     if (dataclasses.is_dataclass(tp) or origin is dict) and not isinstance(data, dict):
@@ -48,7 +52,7 @@ def from_json(tp, data):
         unknown = sorted(set(data) - {f.name for f in dataclasses.fields(tp)})
         if unknown:
             raise ValueError(f"unknown {tp.__name__} keys {unknown}")
-        return tp(**{k: from_json(hints[k], v) for k, v in data.items()})
+        return tp(**{k: _from_json_at(k, hints[k], v) for k, v in data.items()})
     if origin in (typing.Union, types.UnionType):
         if data is None:
             return None
@@ -57,8 +61,15 @@ def from_json(tp, data):
     if origin in (tuple, frozenset):
         return origin(from_json(args[0], v) for v in data)
     if origin is dict:
-        return {args[0](k): from_json(args[1], v) for k, v in data.items()}
+        return {args[0](k): _from_json_at(k, args[1], v) for k, v in data.items()}
     return data
+
+
+def _from_json_at(key, tp, data):
+    try:
+        return from_json(tp, data)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{key}: {exc}") from None
 
 
 def read_json(path, what: str, decode):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -52,6 +53,8 @@ class NoiseMode:
     def __post_init__(self) -> None:
         if self.mode not in NOISE_MODES:
             raise ValueError(f"unknown noise mode {self.mode!r}")
+        if self.sigma is not None and not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.mode == "explicit":
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("explicit noise needs a positive sigma")
@@ -114,6 +117,17 @@ class ExperimentConfig:
     def resolved_signal(self) -> SignalParams:
         return replace(self.signal, noise_sigma=self.noise_sigma())
 
+    def calibration_meta(self) -> CalibrationMeta:
+        """What this config's theta table is calibrated from."""
+        return CalibrationMeta(
+            self.resolved_signal(),
+            self.region,
+            self.faking,
+            self.calibration_positions,
+            self.calibration_sets,
+            self.seed,
+        )
+
 
 def config_to_dict(c: ExperimentConfig) -> dict:
     """The config file layout: ``signal`` without ``noise_sigma`` (noise is
@@ -130,7 +144,7 @@ def config_to_dict(c: ExperimentConfig) -> dict:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
-    calibration = from_json(dict[str, int], d.pop("calibration", {}))
+    calibration = from_json(dict[str, object], d.pop("calibration", {}))
     d.update({f"calibration_{k}": v for k, v in calibration.items()})
     return from_json(ExperimentConfig, d)
 
@@ -169,14 +183,7 @@ def deploy(config: ExperimentConfig, seed: int) -> list[Node]:
 
 def resolve_theta_table(config: ExperimentConfig, workers: int = 1) -> ThetaTable:
     """The table the config names: a file, the cache, or a fresh calibration."""
-    meta = CalibrationMeta(
-        config.resolved_signal(),
-        config.region,
-        config.faking,
-        config.calibration_positions,
-        config.calibration_sets,
-        config.seed,
-    )
+    meta = config.calibration_meta()
     if config.theta_source == RECALIBRATE:
         return cached_theta_table(config.n, meta, workers=workers)
     table = load_theta_table(config.theta_source)

@@ -1,14 +1,17 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from posverify.calibration import load_theta_table
+from posverify.calibration import estimate_theta_table, load_theta_table, table_to_dict
 from posverify.cli import main
+from posverify.codec import write_json
 from posverify.experiment import (
     PRESETS,
     ExperimentConfig,
     NoiseMode,
     config_to_dict,
+    load_config,
     load_report,
 )
 from posverify.adversary import FakingSearchConfig, Region
@@ -88,30 +91,98 @@ class TestRun:
         assert "error: workers must be positive, got 0" in capsys.readouterr().err
 
 
+def _edited(path, tmp_path, keys, value):
+    """A copy of the JSON file at ``path`` with the value under the key
+    path ``keys`` replaced by ``value``; the copy's path."""
+    d = json.loads(path.read_text())
+    *outer, last = keys
+    inner = d
+    for k in outer:
+        inner = inner[k]
+    inner[last] = value
+    out = tmp_path / f"edited-{path.name}"
+    out.write_text(json.dumps(d))
+    return out
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize(
+        "keys,value,why",
+        [
+            (("trials",), 2.5, "trials: expected an integer, got 2.5"),
+            (("n",), 8.0, "n: expected an integer, got 8.0"),
+            (("seed",), 1.5, "seed: expected an integer, got 1.5"),
+            (("trials",), True, "trials: expected an integer, got True"),
+            (("calibration", "positions"), 2.5,
+             "calibration_positions: expected an integer, got 2.5"),
+        ],
+    )
+    def test_config_int_field_takes_only_integers(self, config_path, tmp_path, capsys,
+                                                  keys, value, why):
+        path = _edited(config_path, tmp_path, keys, value)
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"error: bad config {path}: {why}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys,value,why",
+        [
+            (("faking", "exclusion_radius"), float("nan"), "faking: exclusion_radius"),
+            (("faking", "grid_step"), float("nan"), "faking: grid_step"),
+            (("signal", "transmit_power"), float("nan"), "signal: transmit_power"),
+            (("signal", "transmit_power"), float("inf"), "signal: transmit_power"),
+            (("region", "x_max"), float("inf"), "region: x_max"),
+            (("noise_mode",), {"mode": "explicit", "sigma": float("nan")}, "noise_mode: sigma"),
+        ],
+    )
+    def test_config_non_finite_field_named(self, config_path, tmp_path, capsys,
+                                           keys, value, why):
+        # json writes NaN and Infinity, and json.loads reads them back
+        path = _edited(config_path, tmp_path, keys, value)
+        assert main(["theta", "--config", str(path), "--out", str(tmp_path / "t.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: bad config {path}: {why} must be finite, got " in err
+
+
 class TestTheta:
-    def test_calibrates_and_saves(self, tmp_path, capsys):
+    def test_calibrates_and_saves(self, config_path, tmp_path, capsys):
         out = tmp_path / "table.json"
-        code = main(
-            ["theta", "--n", "8", "--region", "20", "20", "--samples", "3", "2",
-             "--seed", "1", "--out", str(out)]
-        )
-        assert code == 0
-        saved = json.loads(out.read_text())
-        assert saved["n"] == 8
-        assert saved["theta_star"] >= 0
+        assert main(["theta", "--config", str(config_path), "--out", str(out)]) == 0
+        table = load_theta_table(out)
+        assert table.n == 8
+        assert table.meta == load_config(config_path).calibration_meta()
         assert "theta_star=" in capsys.readouterr().out
 
-    def test_table_feeds_a_run(self, tmp_path, config_path):
+    def test_table_feeds_a_run(self, tmp_path, config_path, monkeypatch):
         table = tmp_path / "table.json"
-        assert main(
-            ["theta", "--n", "8", "--region", "20", "20", "--samples", "3", "2",
-             "--seed", "1", "--out", str(table)]
-        ) == 0
+        assert main(["theta", "--config", str(config_path), "--out", str(table)]) == 0
+        # the run calibrates the same table into its cache, byte for byte
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "cache"))
+        assert main(["run", "--config", str(config_path)]) == 0
+        (cached,) = (tmp_path / "cache").glob("theta_n8_*.json")
+        assert cached.read_bytes() == table.read_bytes()
         cfg = json.loads(config_path.read_text())
         cfg["theta_source"] = str(table)
         reuse = tmp_path / "reuse.json"
         reuse.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(reuse)]) == 0
+
+    def test_options_replace_config_fields(self, tmp_path, config_path):
+        out = tmp_path / "t.json"
+        code = main(
+            ["theta", "--config", str(config_path), "--n", "12", "--samples", "2", "1",
+             "--seed", "7", "--noise-mode", "negligible", "--out", str(out)]
+        )
+        assert code == 0
+        cfg = replace(
+            load_config(config_path),
+            calibration_positions=2,
+            calibration_sets=1,
+            seed=7,
+            noise_mode=NoiseMode("negligible"),
+        )
+        want = tmp_path / "want.json"
+        write_json(want, table_to_dict(estimate_theta_table(12, cfg.calibration_meta())))
+        assert out.read_bytes() == want.read_bytes()
 
     def test_explicit_mode_needs_sigma(self, tmp_path, capsys):
         code = main(
@@ -119,7 +190,7 @@ class TestTheta:
              "--out", str(tmp_path / "t.json")]
         )
         assert code == 1
-        assert "--sigma" in capsys.readouterr().err
+        assert "error: explicit noise needs a positive sigma" in capsys.readouterr().err
 
     def test_defaults_are_the_presets_channel(self, tmp_path):
         # perfbench's theta workload leans on this to share the presets' regime
@@ -172,6 +243,12 @@ class TestSweep:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_bad_n0_fails_before_any_point_runs(self, config_path, capsys):
+        assert main(["sweep", "--config", str(config_path), "--n0", "5:9"]) == 1
+        captured = capsys.readouterr()
+        assert "n0=" not in captured.out
+        assert "error: need 2 <= n0 <= n, got n0=9, n=8" in captured.err
 
     @pytest.mark.parametrize("span", ["7", "a:60", "52:60:x"])
     def test_bad_span(self, config_path, capsys, span):

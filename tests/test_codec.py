@@ -152,6 +152,26 @@ class TestDecoding:
         with pytest.raises(TypeError, match="JSON object"):
             from_json(dict[float, float], [1.0])
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_int_field_takes_only_integers(self, value):
+        d = {"exclusion_radius": 1.0, "grid_step": 1.0, "refine_iters": value}
+        with pytest.raises(TypeError, match=f"refine_iters: expected an integer, got {value!r}"):
+            from_json(FakingSearchConfig, d)
+
+    def test_float_field_takes_an_integer(self):
+        got = from_json(Region, {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 2})
+        assert got == Region(0.0, 1.0, 0.0, 2.0)
+
+    def test_nested_error_names_every_key(self):
+        d = {"signal": {"transmit_power": 1.0, "wavelength": 0.5},
+             "region": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+             "faking": {"exclusion_radius": 0.2, "grid_step": 0.1, "refine_iters": 1.5},
+             "num_x0": 1, "num_x_per_x0": 1, "seed": 0}
+        with pytest.raises(TypeError, match="^faking: refine_iters: expected an integer"):
+            from_json(CalibrationMeta, d)
+        with pytest.raises(TypeError, match="^0.5: expected an integer, got 2.5"):
+            from_json(dict[float, int], {"0.5": 2.5})
+
     def test_dataclass_checks_still_run(self):
         with pytest.raises(ValueError, match="degenerate"):
             from_json(Region, {"x_min": 1, "x_max": 1, "y_min": 0, "y_max": 1})

@@ -126,6 +126,25 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             tiny_config(signal=SignalParams(1.0, 0.125, noise_sigma=0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda v: Region(0.0, v, 0.0, 1.0), "x_max"),
+            (lambda v: Region(v, 1.0, 0.0, 1.0), "x_min"),
+            (lambda v: SignalParams(v, 0.125), "transmit_power"),
+            (lambda v: SignalParams(1.0, v), "wavelength"),
+            (lambda v: SignalParams(1.0, 0.125, noise_sigma=v), "noise_sigma"),
+            (lambda v: SignalParams(1.0, 0.125, path_loss_exponent=v), "path_loss_exponent"),
+            (lambda v: FakingSearchConfig(v, 1.0), "exclusion_radius"),
+            (lambda v: FakingSearchConfig(1.0, v), "grid_step"),
+            (lambda v: NoiseMode("explicit", v), "sigma"),
+        ],
+    )
+    def test_non_finite_numbers_named(self, build, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+            build(bad)
+
     def test_n1_property(self):
         assert tiny_config().n1 == 3
 
@@ -286,6 +305,10 @@ class TestThetaSource:
             (dict(samples=[1.0], theta_star=999), "1 samples for 4 calibration cells"),
             # would otherwise load, and fail only in the first trial's filter
             (dict(theta_star=-1), "theta_star must be nonnegative, got -1"),
+            # would otherwise load, and filter with a 2.5-vote allowance
+            (dict(theta_star=2.5), "theta_star: expected an integer, got 2.5"),
+            (dict(theta_star=True), "theta_star: expected an integer, got True"),
+            (dict(n=10.0), "n: expected an integer, got 10.0"),
         ],
     )
     def test_malformed_file_source_named(self, tmp_path, edit, why):
