@@ -392,6 +392,42 @@ def _ranked(points: np.ndarray, values: np.ndarray, *major) -> np.ndarray:
     return np.lexsort((points[..., 1], points[..., 0], -values, *reversed(major)), axis=-1)
 
 
+def _walk(
+    region: Region,
+    rx: _Receivers,
+    config: FakingSearchConfig,
+    pts: np.ndarray,
+    vals: np.ndarray,
+    owner: np.ndarray,
+    score,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy compass walk with step halving from each start, in lockstep.
+
+    Start i searches for faker ``owner[i]``. Each iteration every start
+    moves to its best feasible compass neighbour by ``_ranked`` if that
+    beats its value, and halves its step otherwise. ``score(moves, ok,
+    moved, pts, steps)`` values the (starts, 8) ``moves`` from ``pts``,
+    -inf where ``ok`` is False; ``moved`` marks the starts that moved last
+    iteration, every start before the first.
+    """
+    pts, vals = pts.copy(), vals.copy()
+    rows = np.arange(len(pts))
+    steps = np.full(len(pts), config.grid_step / 2.0)
+    x0 = rx.x0[owner]
+    moved = np.ones(len(pts), dtype=bool)
+    for _ in range(config.refine_iters):
+        moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
+        dist = np.hypot(moves[..., 0] - x0[:, 0, None], moves[..., 1] - x0[:, 1, None])
+        ok = (dist >= config.exclusion_radius) & region.contains(moves)
+        mvals = score(moves, ok, moved, pts, steps)
+        best = _ranked(moves, mvals)[:, 0]
+        cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
+        moved = cand_vals > vals
+        pts[moved], vals[moved] = cand_pts[moved], cand_vals[moved]
+        steps[~moved] /= 2.0
+    return pts, vals
+
+
 def _refine(
     params: SignalParams,
     region: Region,
@@ -401,31 +437,136 @@ def _refine(
     vals: np.ndarray,
     owner: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy compass walk with step halving from each start, in lockstep.
-
-    Start i searches for faker ``owner[i]``. Each iteration every start
-    moves to its best feasible compass neighbour by ``_ranked`` if that
-    beats its value, and halves its step otherwise. All starts' moves are
-    scored in one batch; since ``_theta_batch`` sums each point in one
-    order, each start walks exactly as it would alone.
+    """``_walk`` scoring every move against every receiver. All starts'
+    moves are scored in one batch; since ``_theta_batch`` sums each point
+    in one order, each start walks exactly as it would alone.
     """
-    pts, vals = pts.copy(), vals.copy()
-    rows = np.arange(len(pts))
-    steps = np.full(len(pts), config.grid_step / 2.0)
-    x0 = rx.x0[owner]
     move_owner = np.broadcast_to(owner[:, None], (len(pts), len(_COMPASS)))
-    for _ in range(config.refine_iters):
-        moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
-        dist = np.hypot(moves[..., 0] - x0[:, 0, None], moves[..., 1] - x0[:, 1, None])
-        ok = (dist >= config.exclusion_radius) & region.contains(moves)
+
+    def score(moves, ok, *_):
         mvals = np.full(ok.shape, -np.inf)
         mvals[ok] = _theta_batch(params, rx, moves[ok], move_owner[ok])
-        best = _ranked(moves, mvals)[:, 0]
-        cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
-        up = cand_vals > vals
-        pts[up], vals[up] = cand_pts[up], cand_vals[up]
-        steps[~up] /= 2.0
-    return pts, vals
+        return mvals
+
+    return _walk(region, rx, config, pts, vals, owner, score)
+
+
+# optimize_fake_positions walks its starts with _refine_live while at most
+# this share of (receiver, start) pairs is reachable at the first step, and
+# with _refine's dense groups above it. Measured at the first step on the
+# presets: 0.08-0.11 on negligible-noise deploys and calibration chunks, where
+# the live walk takes refinement from about 70 to 27 ms a neg-noise-52
+# deploy, and 0.70-0.81 in significant noise, where starts move often and
+# the per-pair lists cost more than the dense broadcast (about 290 instead of
+# 175 ms a sig-noise-q-55 deploy). 2-CPU x86 host; the cut sits between.
+_LIVE_SHARE_MAX = 0.3
+
+
+def _reachable(
+    rx: _Receivers, pts: np.ndarray, owner: np.ndarray, steps: np.ndarray
+) -> np.ndarray:
+    """Which receivers (receivers, starts) some compass move of ``steps``
+    from each start could claim inside the band of the start's faker.
+
+    A compass move lies within step·√2 of its start, clipped or not: the
+    start lies inside the region, and clipping to a box is a projection onto
+    a convex set, which never lengthens a move from a point inside it. So a
+    move's distance to a receiver lies within step·√2 of the start's
+    (triangle inequality), and a receiver whose band misses that interval is
+    out of band for all 8 moves. The reach is widened by ``_BAND_SLACK`` of
+    the start's coordinates, over the rounding of the move, and the interval
+    by ``_BAND_SLACK`` of the distances, over the rounding of ``d2``; so no
+    pair that ``_in_band`` keeps is dropped. A start's step only shrinks
+    while it stays put, so its receivers stay valid until it moves.
+    """
+    # in place where it can, as _in_band: a deploy's starts all come at once
+    gx, gy = _batch_receivers(rx.gp, owner)
+    dist = gx - pts[:, 0]
+    dy = gy - pts[:, 1]
+    np.hypot(dist, dy, out=dist)
+    del dy
+    reach = steps * np.sqrt(2.0) + _BAND_SLACK * (np.abs(pts).sum(axis=1) + steps)
+    edge = dist + reach
+    edge *= 1.0 + _BAND_SLACK
+    edge *= edge
+    live = edge >= rx.near2[:, owner]
+    del edge
+    dist -= reach
+    np.maximum(dist, 0.0, out=dist)
+    dist *= 1.0 - _BAND_SLACK
+    dist *= dist
+    live &= dist <= rx.far2[:, owner]
+    return live
+
+
+def _refine_live(
+    params: SignalParams,
+    region: Region,
+    rx: _Receivers,
+    config: FakingSearchConfig,
+    pts: np.ndarray,
+    vals: np.ndarray,
+    owner: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_walk`` testing each start only against the receivers its moves
+    can reach (``_reachable``), so its memory follows the live pairs and
+    every start walks in one batch.
+
+    Each live (receiver, start) pair carries its receiver's coordinates and
+    band edges, and is rebuilt only when its start moves. A move's pairs
+    take ``_in_band``'s per-pair ``d2`` and test, so a move has the same
+    in-band pairs as in ``_refine``. A feasible move with none scores
+    exactly 0.0, as its all-zero column sums to there; the others reach
+    ``_scores`` with every receiver's row, so each sums in ``_refine``'s
+    order, and the walks end byte-equal.
+    """
+    move_owner = np.repeat(owner, len(_COMPASS))
+    n_rx = rx.r.shape[0]
+    # live pairs: start, receiver, and the receiver's x, y and band edges
+    live = [np.empty(0, dtype=np.intp)] * 2 + [np.empty(0)] * 4
+
+    def score(moves, ok, moved, pts, steps):
+        nonlocal live
+        if moved.any():
+            at = np.flatnonzero(moved)
+            rcv, col = np.nonzero(_reachable(rx, pts[at], owner[at], steps[at]))
+            start, band = at[col], owner[at[col]]
+            coords = rx.gp[rcv] if rx.gp.ndim == 2 else rx.gp[band, rcv]
+            new = (start, rcv, coords[:, 0], coords[:, 1], rx.near2[rcv, band], rx.far2[rcv, band])
+            kept = ~moved[live[0]]
+            live = [np.concatenate([old[kept], part]) for old, part in zip(live, new)]
+        start, rcv, gx, gy, near2, far2 = live
+        # _in_band's d2 and test on each (live pair, move)
+        d2 = gx[:, None] - moves[start, :, 0]
+        d2 *= d2
+        dy2 = gy[:, None] - moves[start, :, 1]
+        dy2 *= dy2
+        d2 += dy2
+        del dy2
+        inside = d2 >= near2[:, None]
+        inside &= d2 <= far2[:, None]
+        inside &= ok[start]
+        del d2
+        pair, move = np.nonzero(inside)
+        at = start[pair] * len(_COMPASS) + move
+        scored = np.zeros(ok.size, dtype=bool)
+        scored[at] = True
+        cols = np.flatnonzero(scored)
+        mask = np.zeros((n_rx, len(cols)), dtype=bool)
+        mask[rcv[pair], np.searchsorted(cols, at)] = True
+        del pair, move, at
+        mvals = np.where(ok, 0.0, -np.inf)
+        # _scores holds every receiver's row of its moves: slices of at most
+        # four entries per live (pair, move) keep the peak with the live pairs
+        width = max(1, 4 * inside.size // n_rx)
+        for lo in range(0, len(cols), width):
+            part = cols[lo : lo + width]
+            mvals.reshape(-1)[part] = _scores(
+                params, rx, moves.reshape(-1, 2)[part], move_owner[part], mask[:, lo : lo + width]
+            )
+        return mvals
+
+    return _walk(region, rx, config, pts, vals, owner, score)
 
 
 def optimize_fake_positions(
@@ -446,9 +587,11 @@ def optimize_fake_positions(
     equal-range circle, which carry the optima when the noise band is too
     thin for any grid), filtered to the feasible set, then greedy compass
     refinement with step halving from the top few candidates. All fakers'
-    refinements walk in lockstep, in groups whose batches hold no more
-    points than the smallest candidate set; each faker gets exactly the
-    outcome it would get searched alone.
+    refinements walk in lockstep: in one batch tested only against the
+    receivers a move can reach when few are (``_refine_live``), otherwise
+    in groups whose batches hold no more points than the smallest candidate
+    set (``_refine``). Both walks end byte-equal, and each faker gets
+    exactly the outcome it would get searched alone.
 
     Every choice, of starts, of moves and of the fake, takes the highest
     value and breaks ties toward the lowest (x, y) (``_ranked``). A point
@@ -494,12 +637,16 @@ def optimize_fake_positions(
 
     pts, vals, owner, sizes = zip(*starts)
     pts, vals, owner = np.concatenate(pts), np.concatenate(vals), np.concatenate(owner)
-    group = max(1, min(sizes) // len(_COMPASS))
-    for lo in range(0, len(pts), group):
-        part = slice(lo, lo + group)
-        pts[part], vals[part] = _refine(
-            params, region, rx, config, pts[part], vals[part], owner[part]
-        )
+    first = np.full(len(pts), config.grid_step / 2.0)
+    if _reachable(rx, pts, owner, first).mean() <= _LIVE_SHARE_MAX:
+        pts, vals = _refine_live(params, region, rx, config, pts, vals, owner)
+    else:
+        group = max(1, min(sizes) // len(_COMPASS))
+        for lo in range(0, len(pts), group):
+            part = slice(lo, lo + group)
+            pts[part], vals[part] = _refine(
+                params, region, rx, config, pts[part], vals[part], owner[part]
+            )
     # a walk moves only to a strictly better point, so a faker's first
     # refined start by rank is at least as good as its best candidate
     order = _ranked(pts, vals, owner)

@@ -4,8 +4,9 @@
 that are ``None``; tuples become lists, frozensets sorted lists, and dict
 keys are kept. ``from_json`` reverses it from the field type hints: a key
 that is absent takes the field's default, a value that is already an
-instance of its type passes through, and an ``int`` takes only an integer
-(not a bool); an error inside a field or dict value names its key. Files
+instance of its type passes through, an ``int`` takes only an integer and
+a ``float`` only a number (neither takes a bool; a ``float`` keeps a JSON
+integer as it is); an error inside a field or dict value names its key. Files
 are written to ``<name>.tmp`` and renamed into place, so a reader never
 sees half a file; ``read_json`` names the file and what it should hold
 when reading one fails.
@@ -43,6 +44,8 @@ def from_json(tp, data):
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if tp is int and (isinstance(data, bool) or not isinstance(data, int)):
         raise TypeError(f"expected an integer, got {data!r}")
+    if tp is float and (isinstance(data, bool) or not isinstance(data, (int, float))):
+        raise TypeError(f"expected a number, got {data!r}")
     if origin is None and isinstance(data, tp):
         return data
     if (dataclasses.is_dataclass(tp) or origin is dict) and not isinstance(data, dict):

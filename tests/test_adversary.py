@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -8,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import posverify.adversary as adversary
 from posverify.adversary import (
     _COMPASS,
+    _LIVE_SHARE_MAX,
     REFINE_STARTS,
     FakingSearchConfig,
     Region,
@@ -21,9 +24,11 @@ from posverify.adversary import (
     _pair_bounds,
     _pair_reflections,
     _ranked,
+    _reachable,
     _receiver_pairs,
     _receivers,
     _refine,
+    _refine_live,
     _theta_batch,
     optimize_fake_position,
     optimize_fake_positions,
@@ -221,13 +226,13 @@ class TestOptimizer:
         vals = np.array(
             [_theta_batch(params, rx, starts[i], owner[i])[0] for i in range(5)] + [0.0]
         )
-        for iters in (1, 25):
+        for iters, walk in itertools.product((1, 25), (_refine, _refine_live)):
             cfg = FakingSearchConfig(exclusion_radius=2.0, grid_step=5.0, refine_iters=iters)
             moves = REGION.clip(starts[-1] + cfg.grid_step / 2.0 * _COMPASS)
             assert np.sum(np.hypot(*(moves - x0[2]).T) >= cfg.exclusion_radius) == 1
-            pts, out = _refine(params, REGION, rx, cfg, starts, vals, owner)
+            pts, out = walk(params, REGION, rx, cfg, starts, vals, owner)
             for i in range(len(starts)):
-                alone = _refine(
+                alone = walk(
                     params, REGION, rx, cfg, starts[i : i + 1], vals[i : i + 1], owner[i : i + 1]
                 )
                 assert pts[i].tolist() == alone[0][0].tolist()
@@ -609,6 +614,35 @@ class TestKernelMemory:
         dense = peak_bytes(lambda: dense_theta_batch(self.params, self.x0s[0], self.gp, self.pts))
         assert pruned <= dense
 
+    def test_live_walk_peaks_below_a_dense_group(self):
+        # a negligible-noise deploy's refinement: 48 fakers x 5 starts against
+        # one 52-receiver set, all in one live batch, against one dense group
+        # of (smallest candidate set // 8) of the same starts
+        cfg = PRESETS["neg-noise-52"]
+        params = cfg.resolved_signal()
+        rng = np.random.default_rng(52)
+        gp, x0s = REGION.sample(rng, 52), REGION.sample(rng, 48)
+        rx = _receivers(params, x0s, gp)
+        starts, sizes = [], []
+        for f, x0 in enumerate(x0s):
+            cands = search_candidates(params, x0, gp, cfg.faking)
+            top, vals = pruned_top(params, rx, cands, f)
+            starts.append((cands[top], vals, np.full(len(top), f)))
+            sizes.append(len(cands))
+        pts, vals, owner = (np.concatenate(a) for a in zip(*starts))
+        assert len(pts) == 48 * REFINE_STARTS
+        first = np.full(len(pts), cfg.faking.grid_step / 2.0)
+        assert _reachable(rx, pts, owner, first).mean() <= _LIVE_SHARE_MAX
+        group = min(sizes) // len(_COMPASS)
+        assert group < len(pts)
+        live = peak_bytes(lambda: _refine_live(params, REGION, rx, cfg.faking, pts, vals, owner))
+        dense = peak_bytes(
+            lambda: _refine(
+                params, REGION, rx, cfg.faking, pts[:group], vals[:group], owner[:group]
+            )
+        )
+        assert live <= dense
+
 
 @st.composite
 def search_instances(draw):
@@ -683,3 +717,94 @@ class TestPerFakerSets:
         cfg = FakingSearchConfig(exclusion_radius=5.0, grid_step=20.0)
         with pytest.raises(ValueError, match=re.escape("(3, 0, 2)") + ".*" + re.escape("(3, 2)")):
             optimize_fake_positions(make_params(1e-9), REGION, x0s, np.zeros((3, 0, 2)), cfg)
+
+
+@st.composite
+def walk_instances(draw):
+    exponent = draw(st.sampled_from([2.0, 3.0, 4.0]))
+    params = noise_params(exponent, draw(st.sampled_from(["negligible", "significant"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0s = REGION.sample(rng, draw(st.integers(1, 3)))
+    n_rx = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        gp = REGION.sample(rng, n_rx)
+    else:
+        gp = REGION.sample(rng, len(x0s) * n_rx).reshape(len(x0s), n_rx, 2)
+    cfg = FakingSearchConfig(
+        exclusion_radius=draw(st.sampled_from([2.0, 7.07, 30.0])),
+        grid_step=draw(st.sampled_from([5.0, 20.0])),
+        refine_iters=draw(st.integers(0, 25)),
+    )
+    rx = _receivers(params, x0s, gp)
+    owner = rng.integers(0, len(x0s), draw(st.integers(1, 12)))
+    angles = rng.uniform(0.0, 2.0 * np.pi, len(owner))
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    corners = np.array([(0.0, 0.0), (0.0, 100.0), (100.0, 0.0), (100.0, 100.0)])
+    j = rng.integers(0, n_rx, len(owner))
+    on_circle = (gp[j] if gp.ndim == 2 else gp[owner, j]) + rx.r[j, owner, None] * unit
+    kinds = [
+        REGION.sample(rng, len(owner)),
+        # one compass step, axial or diagonal, before a point on an
+        # equal-range circle of the start's faker: the step lands in its band
+        on_circle - cfg.grid_step / 2.0 * _COMPASS[rng.integers(0, 8, len(owner))],
+        # corners, where moves are clipped
+        corners[rng.integers(0, 4, len(owner))],
+        # on the exclusion-ball edge
+        x0s[owner] + cfg.exclusion_radius * unit,
+    ]
+    starts = np.choose(rng.integers(0, len(kinds), len(owner))[:, None], kinds)
+    starts = np.where(REGION.contains(starts)[:, None], starts, kinds[0])
+    # the start's own value, a bare 0.0, or -inf: a start that takes any
+    # feasible move, even one scoring 0.0
+    own = _theta_batch(params, rx, starts, owner)
+    pick = rng.integers(0, 3, len(owner))
+    vals = np.choose(pick, [own, np.zeros_like(own), np.full_like(own, -np.inf)])
+    return params, rx, cfg, starts, vals, owner
+
+
+class TestRefineWalks:
+    @given(walk_instances())
+    def test_live_walk_equals_dense_walk(self, instance):
+        params, rx, cfg, starts, vals, owner = instance
+        dense = _refine(params, REGION, rx, cfg, starts, vals, owner)
+        live = _refine_live(params, REGION, rx, cfg, starts, vals, owner)
+        assert live[0].tobytes() == dense[0].tobytes()
+        assert live[1].tobytes() == dense[1].tobytes()
+
+    @pytest.mark.parametrize("walk", [_refine, _refine_live])
+    def test_walk_reaches_bands_beyond_its_first_reach(self, walk):
+        # bands micrometres wide. From (50, 50), step 4, the move (54, 50)
+        # lies in receiver A's band; from there (58, 50) lies in A's and B's.
+        # B's band passes 8 m from (50, 50), beyond the first reach 4·√2, so
+        # only a walk that follows its start finds it. The second start lies
+        # 4·√2 inside A's band in distance: only its diagonal move reaches it.
+        params = noise_params(2.0, "negligible")
+        x0 = (20.0, 20.0)
+        a = np.array([56.0, 808.0 / 60.0])  # as far from x0 as from (54, 50) and (58, 50)
+        b = np.array([2064.0 / 76.0, 50.0])  # on y = 50, as far from x0 as from (58, 50)
+        rx = _receivers(params, x0, np.array([a, b]))
+        diagonal = a + rx.r[0, 0] * np.sqrt(0.5) - 4.0
+        starts = np.array([(50.0, 50.0), diagonal])
+        vals = _theta_batch(params, rx, starts, 0)
+        assert not vals.any()
+        cfg = FakingSearchConfig(exclusion_radius=2.0, grid_step=8.0, refine_iters=2)
+        pts, out = walk(params, REGION, rx, cfg, starts, vals, np.zeros(2, dtype=int))
+        assert pts.tolist() == [[58.0, 50.0], (diagonal + 4.0).tolist()]
+        assert out == pytest.approx([2 * TRUTHFUL_ACCEPT_PROB, TRUTHFUL_ACCEPT_PROB], rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "name,walk", [("neg-noise-52", "_refine_live"), ("sig-noise-q-55", "_refine")]
+    )
+    def test_deploy_takes_the_walk_its_live_share_selects(self, name, walk, monkeypatch):
+        # negligible noise leaves about 9% of (receiver, start) pairs
+        # reachable at the first step, significant noise about 72%
+        calls = []
+        for fn in ("_refine", "_refine_live"):
+            inner = getattr(adversary, fn)
+            monkeypatch.setattr(
+                adversary, fn, lambda *a, _fn=fn, _inner=inner: calls.append(_fn) or _inner(*a)
+            )
+        deploy(PRESETS[name], 0)
+        # the live walk takes every start in one batch, the dense one in groups
+        assert set(calls) == {walk}
+        assert len(calls) == 1 if walk == "_refine_live" else len(calls) > 1

@@ -123,6 +123,13 @@ class TestBadInputs:
         assert main(["run", "--config", str(path)]) == 1
         assert f"error: bad config {path}: {why}" in capsys.readouterr().err
 
+    def test_config_float_field_rejects_a_bool(self, config_path, tmp_path, capsys):
+        # JSON true is a Python int: it would run on a 1 m wide region
+        path = _edited(config_path, tmp_path, ("region", "x_max"), True)
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: bad config {path}: region: x_max: expected a number, got True" in err
+
     @pytest.mark.parametrize(
         "keys,value,why",
         [

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -161,6 +162,21 @@ class TestDecoding:
     def test_float_field_takes_an_integer(self):
         got = from_json(Region, {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 2})
         assert got == Region(0.0, 1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0]])
+    def test_float_field_takes_only_numbers(self, value):
+        # a bool is an int to Python: True would make a 1 m wide region
+        d = {"x_min": 0, "x_max": value, "y_min": 0, "y_max": 1}
+        with pytest.raises(TypeError, match=re.escape(f"x_max: expected a number, got {value!r}")):
+            from_json(Region, d)
+
+    def test_bool_rejected_in_every_float_field(self):
+        with pytest.raises(TypeError, match="^exclusion_radius: expected a number, got True$"):
+            from_json(FakingSearchConfig, {"exclusion_radius": True, "grid_step": 1.0})
+        with pytest.raises(TypeError, match="^sigma: expected a number, got False$"):
+            from_json(NoiseMode, {"mode": "explicit", "sigma": False})
+        with pytest.raises(TypeError, match=r"^0\.5: expected a number, got True$"):
+            from_json(dict[float, float], {"0.5": True})
 
     def test_nested_error_names_every_key(self):
         d = {"signal": {"transmit_power": 1.0, "wavelength": 0.5},
