@@ -9,6 +9,7 @@ searches a rectangular deployment region for the best one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +143,19 @@ class _Receivers:
     """Genuine receivers as seen from each faker's true position.
 
     ``gp`` is one set shared by every faker, (receivers, 2), or one set
-    per faker, (fakers, receivers, 2); ``_batch_receivers`` picks a
-    batch's coordinates from it. ``r``, ``near2`` and ``far2`` are
-    (receivers, fakers), each faker's column from its own set: the true
-    distances, and the squared claimed distances outside of which a claim
-    deceives the receiver with probability exactly 0.0. ``level_near2``
-    and ``level_far2`` are (levels, receivers, fakers): the squared claimed
-    distances outside of which a claim lies at least ``_LEVELS[k]`` sigmas
-    off in power.
+    per faker, (fakers, receivers, 2). ``coords`` is (2, receivers,
+    fakers): x and y of each faker's own receivers, a column per faker.
+    ``r``, ``near2`` and ``far2`` are (receivers, fakers), each faker's
+    column from its own set: the true distances, and the squared claimed
+    distances outside of which a claim deceives the receiver with
+    probability exactly 0.0. ``level_near2`` and ``level_far2`` are
+    (levels, receivers, fakers): the squared claimed distances outside of
+    which a claim lies at least ``_LEVELS[k]`` sigmas off in power.
     """
 
     gp: np.ndarray
     x0: np.ndarray
+    coords: np.ndarray
     r: np.ndarray
     near2: np.ndarray
     far2: np.ndarray
@@ -172,12 +174,13 @@ def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Rece
                 f"genuine sets of shape {gp.shape} for true positions of shape {x0.shape}: "
                 f"need one set of at least one receiver per true position, ({len(x0)}, receivers, 2)"
             )
+        coords = np.ascontiguousarray(gp.transpose(2, 1, 0))
     else:
         gp = gp.reshape(-1, 2)
         if gp.shape[0] == 0:
             raise ValueError("need at least one genuine position")
-    gx, gy = _batch_receivers(gp, np.arange(len(x0)))
-    r = np.hypot(gx - x0[:, 0], gy - x0[:, 1])
+        coords = np.repeat(gp.T[:, :, None], len(x0), axis=2)
+    r = np.hypot(coords[0] - x0[:, 0], coords[1] - x0[:, 1])
     if np.any(r <= 0):
         raise ValueError("a genuine node coincides with the faker's true position")
     # claimed distance c has ideal power ideal(r) * (r/c)**m, so the power
@@ -198,12 +201,58 @@ def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Rece
 
     levels = _LEVELS[:, None, None]
     return _Receivers(
-        gp, x0, r, *squared_edges(_BAND_ABOVE, _BAND_BELOW), *squared_edges(levels, levels)
+        gp, x0, coords, r, *squared_edges(_BAND_ABOVE, _BAND_BELOW), *squared_edges(levels, levels)
     )
 
 
+class _Scratch:
+    """Work arrays of one search, reused by every batch it scores.
+
+    ``get`` views a named buffer at the shape and dtype asked for, so a
+    search allocates its large temporaries once instead of once a batch.
+    The buffers start at ``_SHARES`` bytes for each of ``cells`` (receiver,
+    point) pairs, the pairs of the search's largest batch; one that a
+    request outgrows is replaced by one of the size asked for, and views
+    already taken keep the old one alive. A view holds stale values until
+    written, and its contents last only until the next ``get`` of its name.
+    Stages share a name only between arrays that are never alive at once:
+
+    - "d2": a batch's squared distances (receivers, points); then the pair
+      bounds, and per in-band pair its table index; then per pair its
+      column, y offset and true distance, and the score matrix.
+    - "work": gathered receiver coordinates and band edges, and the squared
+      y distances; then per pair its squared distance and level index; then
+      per pair the claims' coordinates and the channel's output.
+    - "pairs": per pair the claimed distance, or a level's band edge.
+    - "inside" and "mask": in-band masks; "mask" also holds the level
+      counts of ``_pair_bounds``.
+    """
+
+    # bytes per cell: the float arrays above, the masks, and two level counts
+    _SHARES = {"d2": 8, "work": 8, "pairs": 8, "inside": 1, "mask": 2}
+
+    def __init__(self, cells: int = 0) -> None:
+        self._buffers = {
+            name: np.empty(share * cells, dtype=np.uint8) for name, share in self._SHARES.items()
+        }
+
+    def get(self, name: str, shape, dtype=np.float64, order: str = "C") -> np.ndarray:
+        if not isinstance(shape, tuple):
+            shape = (shape,)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if self._buffers[name].size < size:
+            self._buffers[name] = None  # freed before its successor, if no view holds it
+            self._buffers[name] = np.empty(size, dtype=np.uint8)
+        return np.ndarray(shape, dtype, buffer=self._buffers[name], order=order)
+
+
 def _theta_batch(
-    params: SignalParams, rx: _Receivers, points, owner, top: int | None = None
+    params: SignalParams,
+    rx: _Receivers,
+    points,
+    owner,
+    top: int | None = None,
+    scratch: _Scratch | None = None,
 ) -> np.ndarray:
     """Expected number of deceived receivers for each point.
 
@@ -223,20 +272,23 @@ def _theta_batch(
     order of an upper bound (``_bounds``): first the ``top`` highest, whose
     lowest exact value is the floor, then every other point whose bound
     reaches the floor, ties included. The rest cannot beat the floor.
+
+    Large temporaries come from ``scratch`` (``_Scratch``), a fresh one when
+    it is None; a search passes its own to every batch.
     """
-    # temporaries are freed as soon as they are spent, so the peak stays
-    # below that of scoring every pair even when most pairs are in the band
+    scratch = _Scratch() if scratch is None else scratch
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    d2, inside = _in_band(rx, pts, owner)
+    d2, inside = _in_band(rx, pts, owner, scratch)
     if top is None or len(pts) <= top:
-        del d2
-        return _scores(params, rx, pts, owner, inside)
-    bound = _bounds(rx, d2, inside, owner)
-    del d2
+        return _scores(params, rx, pts, owner, inside, scratch)
+    bound = _bounds(rx, d2, inside, owner, scratch)
 
     def score(keep):
-        part = owner if np.ndim(owner) == 0 else owner[keep]
-        values[keep] = _scores(params, rx, pts[keep], part, inside[:, keep])
+        cols = np.flatnonzero(keep)
+        part = owner if np.ndim(owner) == 0 else owner[cols]
+        mask = scratch.get("mask", (len(inside), len(cols)), bool)
+        np.take(inside, cols, axis=1, out=mask, mode="clip")
+        values[cols] = _scores(params, rx, pts[cols], part, mask, scratch)
 
     values = np.full(len(pts), -np.inf)
     first = np.zeros(len(pts), dtype=bool)
@@ -248,83 +300,141 @@ def _theta_batch(
     return values
 
 
-def _batch_receivers(gp: np.ndarray, owner) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of the receivers that score a batch claimed by ``owner``,
-    from a ``_Receivers.gp``. Each is (receivers, 1) when one set serves
-    every point, a shared set or a scalar ``owner``'s own, so it broadcasts
-    against the points unchanged; otherwise (receivers, points), point p's
-    own set in column p."""
-    if gp.ndim == 2:
-        return gp[:, 0, None], gp[:, 1, None]
+def _columns(table: np.ndarray, owner, out=None) -> np.ndarray:
+    """Each point's column of a (receivers, fakers) ``table``: its faker's,
+    as one (receivers, 1) column that broadcasts against every point when
+    ``owner`` is a scalar, else as column p of a (receivers, points) array,
+    gathered into ``out`` when given."""
     if np.ndim(owner) == 0:
-        return gp[owner, :, 0, None], gp[owner, :, 1, None]
-    return gp[owner, :, 0].T, gp[owner, :, 1].T
+        return table[:, owner, None]
+    return np.take(table, owner, axis=1, out=out, mode="clip")
 
 
-def _in_band(rx: _Receivers, pts: np.ndarray, owner) -> tuple[np.ndarray, np.ndarray]:
+def _receiver_columns(rx: _Receivers, k: int, owner, out=None) -> np.ndarray:
+    """Coordinate ``k`` of the receivers that score each point, as
+    ``_columns``; a shared set's columns are all equal, so its first one
+    serves every point."""
+    return _columns(rx.coords[k], 0 if rx.gp.ndim == 2 else owner, out)
+
+
+def _in_band(
+    rx: _Receivers, pts: np.ndarray, owner, scratch: _Scratch | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances (receivers, points), and which of those pairs lie
-    inside the band of the point's faker."""
-    bands = np.reshape(owner, -1)  # one faker's column for all points, or one per point
-    gx, gy = _batch_receivers(rx.gp, owner)
-    d2 = gx - pts[:, 0]
+    inside the band of the point's faker: views into ``scratch``'s "d2"
+    and "inside"."""
+    scratch = _Scratch() if scratch is None else scratch
+    shape = (rx.r.shape[0], len(pts))
+    d2, work = scratch.get("d2", shape), scratch.get("work", shape)
+    np.subtract(_receiver_columns(rx, 0, owner, work), pts[:, 0], out=d2)
     d2 *= d2
-    dy2 = gy - pts[:, 1]
+    dy2 = np.subtract(_receiver_columns(rx, 1, owner, work), pts[:, 1], out=work)
     dy2 *= dy2
     d2 += dy2
-    del dy2
-    inside = d2 >= rx.near2[:, bands]
-    inside &= d2 <= rx.far2[:, bands]
+    inside = np.greater_equal(
+        d2, _columns(rx.near2, owner, work), out=scratch.get("inside", shape, bool)
+    )
+    inside &= np.less_equal(
+        d2, _columns(rx.far2, owner, work), out=scratch.get("mask", shape, bool)
+    )
     return d2, inside
 
 
 def _scores(
-    params: SignalParams, rx: _Receivers, pts: np.ndarray, owner, inside: np.ndarray
+    params: SignalParams,
+    rx: _Receivers,
+    pts: np.ndarray,
+    owner,
+    inside: np.ndarray,
+    scratch: _Scratch,
 ) -> np.ndarray:
     """Exact scores of ``pts`` from the in-band mask ``inside`` (receivers,
-    points) of their (receiver, point) pairs."""
-    rows, cols = np.divmod(np.flatnonzero(inside), len(pts))
-    gx, gy = _batch_receivers(rx.gp, owner)
-    at = rows, (cols if gx.shape[1] > 1 else 0)
-    claimed = np.hypot(gx[at] - pts[cols, 0], gy[at] - pts[cols, 1])
-    true = rx.r[rows, owner if np.ndim(owner) == 0 else owner[cols]]
-    del rows, cols
-    probs = _deception_prob_arrays(params, true, claimed)
-    del true, claimed
+    points) of their (receiver, point) pairs, which must not be a view of
+    ``scratch``'s "d2", "work" or "pairs"."""
+    # "d2" ends as the score matrix, which outsizes the pair arrays before it
+    out = scratch.get("d2", inside.shape, order="F")
+    at = np.flatnonzero(inside)
+    n = len(at)
+    cols = scratch.get("d2", n, np.intp)
+    np.divmod(at, inside.shape[1], out=(at, cols))
+    # each pair's entry in the (receivers, fakers) tables of rx
+    at *= rx.r.shape[1]
+    if np.ndim(owner) == 0:
+        at += owner
+    else:
+        at += np.take(owner, cols, out=scratch.get("work", n, np.intp), mode="clip")
+    claimed = np.take(rx.coords[0], at, out=scratch.get("pairs", n), mode="clip")
+    claim = scratch.get("work", n)
+    claimed -= np.take(pts[:, 0], cols, out=claim, mode="clip")
+    np.take(pts[:, 1], cols, out=claim, mode="clip")
+    dy = np.take(rx.coords[1], at, out=scratch.get("d2", n), mode="clip")  # cols are spent
+    dy -= claim
+    np.hypot(claimed, dy, out=claimed)
+    true = np.take(rx.r, at, out=dy, mode="clip")
+    probs = _deception_prob_arrays(params, true, claimed, out=claim)
     # column-major, so each point's receivers are contiguous for the sum; the
-    # elementwise work above keeps (receivers, points) for its long rows
-    out = np.zeros(inside.shape, order="F")
+    # elementwise work above keeps (receivers, points) for its long rows. The
+    # kernel has spent true's storage.
+    out.fill(0.0)
     out[inside] = probs
     return out.sum(axis=0)
 
 
-def _pair_bounds(rx: _Receivers, d2, pick) -> np.ndarray:
-    """Upper bound on the deception probability of each in-band pair, from
-    its squared claimed distance ``d2``; ``pick`` maps a (receivers,
-    fakers) table of ``rx`` to the pairs' entries."""
-    level = np.zeros(len(d2), dtype=np.uint8)
-    outside = np.empty(len(d2), dtype=bool)
+def _pair_bounds(rx: _Receivers, d2, pick, scratch: _Scratch | None = None) -> np.ndarray:
+    """Upper bound on the deception probability of each pair, from its
+    squared claimed distance ``d2``; ``pick`` maps a (receivers, fakers)
+    table of ``rx`` to the pairs' entries, in an array that broadcasts
+    against ``d2``. The level counts take ``scratch``'s "mask", their
+    indices "work" and the result "d2", so ``d2`` and the picked entries
+    may live in "d2" and "work" while the levels are counted."""
+    scratch = _Scratch() if scratch is None else scratch
+    counts = scratch.get("mask", (2, *np.shape(d2)), np.uint8)
+    level, outside = counts[0], counts[1].view(bool)
+    level.fill(0)
     for near2, far2 in zip(rx.level_near2, rx.level_far2):
         level += np.less(d2, pick(near2), out=outside).view(np.uint8)
         level += np.greater(d2, pick(far2), out=outside).view(np.uint8)
-    return _LEVEL_BOUNDS.take(level)
+    index = scratch.get("work", level.shape, np.intp)
+    index[...] = level
+    return _LEVEL_BOUNDS.take(index, out=scratch.get("d2", level.shape), mode="clip")
 
 
-def _bounds(rx: _Receivers, d2, inside, owner) -> np.ndarray:
+# _bounds counts the level edges each pair clears on the whole (receivers,
+# points) batch when more than this share of its pairs is in band, and pair
+# by pair, gathering each in-band pair's edges, below it. On a 2-CPU x86
+# host the whole batch costs about 11 ns a pair, pair by pair about 4 ns a
+# pair plus 26 ns an in-band pair, so the two meet near a share of 0.27.
+# Candidate batches hold 0.02-0.04 in negligible noise, 0.5-0.8 in
+# significant noise.
+_DENSE_LEVEL_SHARE = 0.25
+
+
+def _bounds(rx: _Receivers, d2, inside, owner, scratch: _Scratch | None = None) -> np.ndarray:
     """Upper bound on each point's exact score, from the squared distances
-    ``d2`` (receivers, points) of its in-band pairs ``inside``."""
+    ``d2`` (receivers, points) of its in-band pairs ``inside``: its pairs'
+    bounds summed in receiver order, the same either way they are counted
+    (``_DENSE_LEVEL_SHARE``), as zeros add nothing to a sum."""
+    scratch = _Scratch() if scratch is None else scratch
+    slack = 1.0 + _BOUND_SLACK
+    if np.count_nonzero(inside) > _DENSE_LEVEL_SHARE * inside.size:
+        work = scratch.get("work", inside.shape)
+        pairs = _pair_bounds(rx, d2, lambda table: _columns(table, owner, work), scratch)
+        pairs *= inside
+        return pairs.sum(axis=0) * slack + _BOUND_SLACK
     at = np.flatnonzero(inside)
-    width = inside.shape[1]
-    # pairs come receiver by receiver, ``counts`` of each
-    counts = np.diff(np.searchsorted(at, np.arange(0, inside.size + 1, width)))
-    cols = at - np.repeat(np.arange(0, inside.size, width), counts)
-    d2 = d2.take(at)
-    del at
-    if np.ndim(owner) == 0:
-        pairs = _pair_bounds(rx, d2, lambda table: np.repeat(table[:, owner], counts))
-    else:
-        rows, bands = np.repeat(np.arange(len(counts)), counts), owner[cols]
-        pairs = _pair_bounds(rx, d2, lambda table: table[rows, bands])
-    return np.bincount(cols, pairs, width) * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
+    n, width = len(at), inside.shape[1]
+    # d2 may live in scratch's "d2", which the table indices take next
+    d2 = np.take(d2, at, out=scratch.get("work", n), mode="clip")
+    index = np.floor_divide(at, width, out=scratch.get("d2", n, np.intp))
+    index *= rx.r.shape[1]
+    index += owner if np.ndim(owner) == 0 else owner[at % width]
+    pairs = _pair_bounds(
+        rx,
+        d2,
+        lambda table: np.take(table, index, out=scratch.get("pairs", n), mode="clip"),
+        scratch,
+    )
+    return np.bincount(np.remainder(at, width, out=at), pairs, width) * slack + _BOUND_SLACK
 
 
 def theta_for_fake(
@@ -382,8 +492,10 @@ def _grid_points(region: Region, step: float) -> np.ndarray:
 
 
 def _feasible(region: Region, x0: np.ndarray, radius: float, pts: np.ndarray) -> np.ndarray:
+    """Which of ``pts`` a faker at ``x0`` may claim: in the region, and at
+    least ``radius`` from ``x0``."""
     dist = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])
-    return pts[(dist >= radius) & region.contains(pts)]
+    return (dist >= radius) & region.contains(pts)
 
 
 def _ranked(points: np.ndarray, values: np.ndarray, *major) -> np.ndarray:
@@ -436,6 +548,7 @@ def _refine(
     pts: np.ndarray,
     vals: np.ndarray,
     owner: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_walk`` scoring every move against every receiver. All starts'
     moves are scored in one batch; since ``_theta_batch`` sums each point
@@ -445,7 +558,7 @@ def _refine(
 
     def score(moves, ok, *_):
         mvals = np.full(ok.shape, -np.inf)
-        mvals[ok] = _theta_batch(params, rx, moves[ok], move_owner[ok])
+        mvals[ok] = _theta_batch(params, rx, moves[ok], move_owner[ok], scratch=scratch)
         return mvals
 
     return _walk(region, rx, config, pts, vals, owner, score)
@@ -480,9 +593,8 @@ def _reachable(
     while it stays put, so its receivers stay valid until it moves.
     """
     # in place where it can, as _in_band: a deploy's starts all come at once
-    gx, gy = _batch_receivers(rx.gp, owner)
-    dist = gx - pts[:, 0]
-    dy = gy - pts[:, 1]
+    dist = _receiver_columns(rx, 0, owner) - pts[:, 0]
+    dy = _receiver_columns(rx, 1, owner) - pts[:, 1]
     np.hypot(dist, dy, out=dist)
     del dy
     reach = steps * np.sqrt(2.0) + _BAND_SLACK * (np.abs(pts).sum(axis=1) + steps)
@@ -507,6 +619,7 @@ def _refine_live(
     pts: np.ndarray,
     vals: np.ndarray,
     owner: np.ndarray,
+    scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_walk`` testing each start only against the receivers its moves
     can reach (``_reachable``), so its memory follows the live pairs and
@@ -520,6 +633,7 @@ def _refine_live(
     ``_scores`` with every receiver's row, so each sums in ``_refine``'s
     order, and the walks end byte-equal.
     """
+    scratch = _Scratch() if scratch is None else scratch
     move_owner = np.repeat(owner, len(_COMPASS))
     n_rx = rx.r.shape[0]
     # live pairs: start, receiver, and the receiver's x, y and band edges
@@ -531,38 +645,46 @@ def _refine_live(
             at = np.flatnonzero(moved)
             rcv, col = np.nonzero(_reachable(rx, pts[at], owner[at], steps[at]))
             start, band = at[col], owner[at[col]]
-            coords = rx.gp[rcv] if rx.gp.ndim == 2 else rx.gp[band, rcv]
-            new = (start, rcv, coords[:, 0], coords[:, 1], rx.near2[rcv, band], rx.far2[rcv, band])
+            new = (start, rcv, *rx.coords[:, rcv, band], rx.near2[rcv, band], rx.far2[rcv, band])
             kept = ~moved[live[0]]
             live = [np.concatenate([old[kept], part]) for old, part in zip(live, new)]
         start, rcv, gx, gy, near2, far2 = live
         # _in_band's d2 and test on each (live pair, move)
-        d2 = gx[:, None] - moves[start, :, 0]
+        shape = (len(start), len(_COMPASS))
+        # both in "d2", which the score matrices below outgrow
+        d2, dy2 = scratch.get("d2", (2, *shape))
+        np.take(moves[..., 0], start, axis=0, out=d2, mode="clip")
+        np.subtract(gx[:, None], d2, out=d2)
         d2 *= d2
-        dy2 = gy[:, None] - moves[start, :, 1]
+        np.take(moves[..., 1], start, axis=0, out=dy2, mode="clip")
+        np.subtract(gy[:, None], dy2, out=dy2)
         dy2 *= dy2
         d2 += dy2
-        del dy2
-        inside = d2 >= near2[:, None]
-        inside &= d2 <= far2[:, None]
-        inside &= ok[start]
-        del d2
+        inside = np.greater_equal(d2, near2[:, None], out=scratch.get("inside", shape, bool))
+        test = scratch.get("mask", shape, bool)
+        inside &= np.less_equal(d2, far2[:, None], out=test)
+        inside &= np.take(ok, start, axis=0, out=test, mode="clip")
         pair, move = np.nonzero(inside)
+        # the views go before their buffers are asked for at other sizes
+        del d2, dy2, inside, test
         at = start[pair] * len(_COMPASS) + move
         scored = np.zeros(ok.size, dtype=bool)
         scored[at] = True
         cols = np.flatnonzero(scored)
-        mask = np.zeros((n_rx, len(cols)), dtype=bool)
+        mask = scratch.get("mask", (n_rx, len(cols)), bool)
+        mask.fill(False)
         mask[rcv[pair], np.searchsorted(cols, at)] = True
-        del pair, move, at
         mvals = np.where(ok, 0.0, -np.inf)
         # _scores holds every receiver's row of its moves: slices of at most
         # four entries per live (pair, move) keep the peak with the live pairs
-        width = max(1, 4 * inside.size // n_rx)
+        width = max(1, 4 * len(start) * len(_COMPASS) // n_rx)
         for lo in range(0, len(cols), width):
             part = cols[lo : lo + width]
+            # a contiguous copy of the slice, in "inside", which is spent
+            moves_in = scratch.get("inside", (n_rx, len(part)), bool)
+            np.copyto(moves_in, mask[:, lo : lo + width])
             mvals.reshape(-1)[part] = _scores(
-                params, rx, moves.reshape(-1, 2)[part], move_owner[part], mask[:, lo : lo + width]
+                params, rx, moves.reshape(-1, 2)[part], move_owner[part], moves_in, scratch
             )
         return mvals
 
@@ -597,8 +719,24 @@ def optimize_fake_positions(
     value and breaks ties toward the lowest (x, y) (``_ranked``). A point
     scores the same in every batch, so ``expected_deceived`` is exactly the
     value the search maximised.
+
+    The call's batches take their large temporaries from one ``_Scratch``,
+    which the call sizes for its largest batch and frees on return.
     """
     rx = _receivers(params, true_positions, genuine_positions)
+    return _search(params, region, rx, config)
+
+
+def _search(
+    params: SignalParams,
+    region: Region,
+    rx: _Receivers,
+    config: FakingSearchConfig,
+    scratch: _Scratch | None = None,
+) -> list[FakingOutcome]:
+    """``optimize_fake_positions`` on the receivers ``rx``, its batches
+    taking their temporaries from ``scratch``; by default a new one, sized
+    for the largest batch."""
     corners = np.array(
         [
             (region.x_min, region.y_min),
@@ -610,7 +748,10 @@ def optimize_fake_positions(
     grid = _grid_points(region, config.grid_step)
     shared = rx.gp.ndim == 2
     pairs = _receiver_pairs(rx.gp) if shared else None
-    starts = []
+    # each faker's feasible grid points as a mask, and its other feasible
+    # candidates, to size the scratch before scoring; a mask keeps no copy
+    # of the grid per faker
+    geometry = []
     for f, x0 in enumerate(rx.x0):
         if not region.contains(x0):
             raise ValueError("true_position lies outside the region")
@@ -625,34 +766,44 @@ def optimize_fake_positions(
                 _circle_points(x0, gp, rx.r[:, f]),
             ]
         )
-        cands = _feasible(region, x0, config.exclusion_radius, cands)
-        # refine from the strongest few starts; cheap insurance against the
-        # greedy walk stalling on a local ridge
-        values = _theta_batch(params, rx, cands, f, top=REFINE_STARTS)
-        top = np.flatnonzero(values > -np.inf)
-        top = top[_ranked(cands[top], values[top])[:REFINE_STARTS]]
-        starts.append((cands[top], values[top], np.full(len(top), f), len(cands)))
-    if not starts:
+        keep = _feasible(region, x0, config.exclusion_radius, cands)
+        geometry.append((keep[: len(grid)], cands[len(grid) :][keep[len(grid) :]]))
+    if not geometry:
         return []
 
-    pts, vals, owner, sizes = zip(*starts)
-    pts, vals, owner = np.concatenate(pts), np.concatenate(vals), np.concatenate(owner)
+    sizes = [np.count_nonzero(on_grid) + len(extra) for on_grid, extra in geometry]
+    # the largest candidate batch is the search's largest: refinement groups
+    # hold no more points than the smallest
+    if scratch is None:
+        scratch = _Scratch(rx.r.shape[0] * max(sizes))
+    starts = []
+    for f, (on_grid, extra) in enumerate(geometry):
+        cands = np.concatenate([grid[on_grid], extra])
+        # refine from the strongest few starts; cheap insurance against the
+        # greedy walk stalling on a local ridge
+        values = _theta_batch(params, rx, cands, f, top=REFINE_STARTS, scratch=scratch)
+        top = np.flatnonzero(values > -np.inf)
+        top = top[_ranked(cands[top], values[top])[:REFINE_STARTS]]
+        starts.append((cands[top], values[top], np.full(len(top), f)))
+    del geometry
+
+    pts, vals, owner = (np.concatenate(part) for part in zip(*starts))
     first = np.full(len(pts), config.grid_step / 2.0)
     if _reachable(rx, pts, owner, first).mean() <= _LIVE_SHARE_MAX:
-        pts, vals = _refine_live(params, region, rx, config, pts, vals, owner)
+        pts, vals = _refine_live(params, region, rx, config, pts, vals, owner, scratch)
     else:
         group = max(1, min(sizes) // len(_COMPASS))
         for lo in range(0, len(pts), group):
             part = slice(lo, lo + group)
             pts[part], vals[part] = _refine(
-                params, region, rx, config, pts[part], vals[part], owner[part]
+                params, region, rx, config, pts[part], vals[part], owner[part], scratch
             )
     # a walk moves only to a strictly better point, so a faker's first
     # refined start by rank is at least as good as its best candidate
     order = _ranked(pts, vals, owner)
     fakes = pts[order[np.unique(owner[order], return_index=True)[1]]]
-    gx, gy = _batch_receivers(rx.gp, np.arange(len(fakes)))
-    claimed = np.hypot(gx.T - fakes[:, 0, None], gy.T - fakes[:, 1, None])
+    gx, gy = rx.coords.transpose(0, 2, 1)
+    claimed = np.hypot(gx - fakes[:, 0, None], gy - fakes[:, 1, None])
     probs = _deception_prob_arrays(params, rx.r.T, claimed)
     return [
         FakingOutcome(

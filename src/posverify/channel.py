@@ -228,12 +228,21 @@ def deception_probability(
     return float(out)
 
 
-def _deception_prob_arrays(params: SignalParams, true_distance, claimed_distance):
+def _deception_prob_arrays(params: SignalParams, true_distance, claimed_distance, out=None):
     """Vectorized deception probability; broadcasts its arguments.
 
     A claim of zero distance can never be ranged, so it deceives with
     probability exactly 0.0.
+
+    With ``out``, a float array, both distances must be float arrays of its
+    shape: the probabilities go to ``out``, and the distances serve as work
+    space and are overwritten, so the call allocates no array of that
+    shape. For arrays with at least one axis the values are bit-identical
+    to those without ``out``: the same operations, element for element (see
+    ``_deception_prob_into``).
     """
+    if out is not None:
+        return _deception_prob_into(params, true_distance, claimed_distance, out)
     t = np.asarray(true_distance, dtype=float)
     c = np.asarray(claimed_distance, dtype=float)
     if params.noise_sigma == 0.0:
@@ -248,6 +257,44 @@ def _deception_prob_arrays(params: SignalParams, true_distance, claimed_distance
         (lo - ideal_true) / params.noise_sigma
     )
     return np.where(c > 0, probs, 0.0)  # the bounds are nan at c <= 0
+
+
+def _deception_prob_into(params: SignalParams, t: np.ndarray, c: np.ndarray, out: np.ndarray):
+    """``_deception_prob_arrays`` in place: ``t`` and ``c`` are overwritten.
+
+    Array operators keep the fast paths numpy takes for them (``**`` squares
+    when the exponent is 2), so each element sees the operations it sees in
+    ``_deception_prob_arrays``. A claim at c <= 0 is given c = 1 until its
+    probability is set to 0.0, where the other path carries nan.
+    """
+    if params.noise_sigma == 0.0:
+        return np.equal(t, c, out=out)
+    bad = None if c.min(initial=np.inf) > 0 else ~(c > 0)
+    if bad is not None:
+        c[bad] = 1.0
+    m = params.path_loss_exponent
+    slack = SIGMA_BAND * params.noise_sigma
+    # c becomes the ideal power at the claim, then hi; out becomes lo
+    np.divide(params.alpha, c, out=c)
+    c **= m
+    np.multiply(params.transmit_power, c, out=c)
+    np.subtract(c, slack, out=out)
+    np.maximum(out, 0.0, out=out)  # readings must stay positive to be estimable
+    c += slack
+    # t becomes the ideal power at the true distance
+    np.divide(params.alpha, t, out=t)
+    t **= m
+    np.multiply(params.transmit_power, t, out=t)
+    c -= t
+    c /= params.noise_sigma
+    ndtr(c, out=c)
+    out -= t
+    out /= params.noise_sigma
+    ndtr(out, out=out)
+    np.subtract(c, out, out=out)
+    if bad is not None:
+        out[bad] = 0.0
+    return out
 
 
 def simulate_approval_rate(

@@ -6,14 +6,16 @@ keys are kept. ``from_json`` reverses it from the field type hints: a key
 that is absent takes the field's default, a value that is already an
 instance of its type passes through, an ``int`` takes only an integer and
 a ``float`` only a number (neither takes a bool; a ``float`` keeps a JSON
-integer as it is); an error inside a field or dict value names its key. Files
-are written to ``<name>.tmp`` and renamed into place, so a reader never
-sees half a file; ``read_json`` names the file and what it should hold
-when reading one fails.
+integer as it is), and a tuple or frozenset only an array; an error inside
+a field or dict value names its key. Files are written to ``<name>.tmp`` and
+renamed into place, so a reader never sees half a file, and the temp file
+is removed when either step fails; ``read_json`` names the file and what it
+should hold when reading one fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -62,6 +64,8 @@ def from_json(tp, data):
         (inner,) = (a for a in args if a is not type(None))
         return from_json(inner, data)
     if origin in (tuple, frozenset):
+        if not isinstance(data, (list, origin)):
+            raise TypeError(f"expected a JSON array, got {type(data).__name__}")
         return origin(from_json(args[0], v) for v in data)
     if origin is dict:
         return {args[0](k): _from_json_at(k, args[1], v) for k, v in data.items()}
@@ -117,4 +121,6 @@ def _write_atomic(path, text: str) -> None:
             fh.write(text)
         os.replace(tmp, p)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
         raise OSError(f"cannot write {p}: {exc}") from exc

@@ -29,6 +29,8 @@ from posverify.adversary import (
     _receivers,
     _refine,
     _refine_live,
+    _Scratch,
+    _search,
     _theta_batch,
     optimize_fake_position,
     optimize_fake_positions,
@@ -491,7 +493,7 @@ def search_candidates(params, x0, gp, config):
             _circle_points(rx.x0[0], rx.gp, rx.r[:, 0]),
         ]
     )
-    return _feasible(REGION, rx.x0[0], config.exclusion_radius, cands)
+    return cands[_feasible(REGION, rx.x0[0], config.exclusion_radius, cands)]
 
 
 @st.composite
@@ -643,6 +645,42 @@ class TestKernelMemory:
         )
         assert live <= dense
 
+    def test_second_candidate_batch_allocates_no_dense_array(self):
+        # a calibration cell's shape: 100 receivers, about 2.4k candidates. The
+        # first batch fills the scratch; the second reuses it, so its peak, and
+        # any block it allocates, stays below one (receivers x points) float array
+        cfg = FakingSearchConfig(
+            exclusion_radius=0.2 * REGION.diagonal, grid_step=REGION.diagonal / 30.0
+        )
+        pts = search_candidates(self.params, self.x0s[0], self.gp, cfg)
+        assert 2000 < len(pts) < 3000
+        rx = _receivers(self.params, self.x0s[:1], self.gp)
+        scratch = _Scratch()
+        first = _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
+        second = peak_bytes(
+            lambda: _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
+        )
+        assert second < len(self.gp) * len(pts) * 8
+        again = _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
+        assert again.tobytes() == first.tobytes()
+
+    def test_second_refinement_iteration_allocates_no_dense_array(self):
+        # one lockstep group of a calibration chunk's dense walk: 25 cells with
+        # their own 100 receivers, 12 starts each, 2400 moves an iteration
+        rng = np.random.default_rng(200)
+        rx = _receivers(self.params, self.x0s, REGION.sample(rng, 25 * 100).reshape(25, 100, 2))
+        starts, owner = REGION.sample(rng, 300), np.repeat(np.arange(25), 12)
+        vals = _theta_batch(self.params, rx, starts, owner)
+        cfg = FakingSearchConfig(exclusion_radius=2.0, grid_step=4.0, refine_iters=1)
+        scratch = _Scratch()
+        first = _refine(self.params, REGION, rx, cfg, starts, vals, owner, scratch)
+        second = peak_bytes(
+            lambda: _refine(self.params, REGION, rx, cfg, starts, vals, owner, scratch)
+        )
+        assert second < 100 * len(starts) * len(_COMPASS) * 8
+        again = _refine(self.params, REGION, rx, cfg, starts, vals, owner, scratch)
+        assert again[1].tobytes() == first[1].tobytes()
+
 
 @st.composite
 def search_instances(draw):
@@ -671,7 +709,7 @@ class TestSearchProperties:
             assert REGION.contains(fake)
             assert np.hypot(*(fake - x0)) >= cfg.exclusion_radius
             assert out.expected_deceived == theta_for_fake(params, x0, fake, gp)
-            for cand in _feasible(REGION, x0, cfg.exclusion_radius, grid):
+            for cand in grid[_feasible(REGION, x0, cfg.exclusion_radius, grid)]:
                 assert out.expected_deceived >= theta_for_fake(params, x0, cand, gp)
 
 
@@ -808,3 +846,52 @@ class TestRefineWalks:
         # the live walk takes every start in one batch, the dense one in groups
         assert set(calls) == {walk}
         assert len(calls) == 1 if walk == "_refine_live" else len(calls) > 1
+
+
+@st.composite
+def stale_batches(draw):
+    """A batch of another shape, regime and owner layout than ``walk_instances``
+    draws: more receivers and points, to leave stale values in every buffer
+    of a scratch beyond what the later batch writes."""
+    exponent = draw(st.sampled_from([2.0, 3.0, 4.0]))
+    params = noise_params(exponent, draw(st.sampled_from(["negligible", "significant"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0s = REGION.sample(rng, draw(st.integers(1, 3)))
+    n_rx = draw(st.integers(9, 16))
+    if draw(st.booleans()):
+        gp = REGION.sample(rng, n_rx)
+    else:
+        gp = REGION.sample(rng, len(x0s) * n_rx).reshape(len(x0s), n_rx, 2)
+    rx = _receivers(params, x0s, gp)
+    pts = REGION.sample(rng, draw(st.integers(60, 120)))
+    owner = rng.integers(0, len(x0s), len(pts)) if draw(st.booleans()) else len(x0s) - 1
+    return params, rx, pts, owner, draw(st.sampled_from([None, 1, REFINE_STARTS]))
+
+
+def assert_same_bytes(got, want):
+    for have, expect in zip(got, want, strict=True):
+        assert np.asarray(have).tobytes() == np.asarray(expect).tobytes()
+
+
+class TestScratchReuse:
+    @given(walk_instances(), stale_batches(), st.sampled_from([1, 2, REFINE_STARTS]))
+    def test_stale_scratch_changes_no_result(self, instance, stale, k):
+        params, rx, cfg, starts, vals, owner = instance
+        scratch = _Scratch()
+        *batch, top = stale
+        _theta_batch(*batch, top=top, scratch=scratch)
+        # each result bit-equal to a fresh scratch's, on a scratch that every
+        # call before it has left stale
+        for part, top in itertools.product([owner, owner[0]], [None, k]):
+            got = _theta_batch(params, rx, starts, part, top=top, scratch=scratch)
+            want = _theta_batch(params, rx, starts, part, top=top)
+            assert got.tobytes() == want.tobytes()
+        for walk in (_refine, _refine_live):
+            got = walk(params, REGION, rx, cfg, starts, vals, owner, scratch)
+            assert_same_bytes(got, walk(params, REGION, rx, cfg, starts, vals, owner))
+        got, want = _search(params, REGION, rx, cfg, scratch), _search(params, REGION, rx, cfg)
+        for have, expect in zip(got, want, strict=True):
+            assert_same_bytes(
+                (have.fake_position, have.expected_deceived, have.per_node_probs),
+                (expect.fake_position, expect.expected_deceived, expect.per_node_probs),
+            )

@@ -90,6 +90,16 @@ def configs(draw):
     )
 
 
+META = CalibrationMeta(
+    SignalParams(1.0, 0.125, 1e-9),
+    Region(0.0, 1.0, 0.0, 1.0),
+    FakingSearchConfig(0.2, 0.1),
+    num_x0=1,
+    num_x_per_x0=1,
+    seed=0,
+)
+
+
 def through_json(tp, obj):
     return from_json(tp, json.loads(json.dumps(to_json(obj))))
 
@@ -170,6 +180,22 @@ class TestDecoding:
         with pytest.raises(TypeError, match=re.escape(f"x_max: expected a number, got {value!r}")):
             from_json(Region, d)
 
+    @pytest.mark.parametrize("value", ["123", 5, 2.5, True, None, {"1": 2.0}])
+    def test_tuple_field_takes_only_an_array(self, value):
+        # a string or a dict would be iterated, a number would not be
+        table = ThetaTable(2, 0, {t / 10: 0.0 for t in range(1, 10)}, (1.0,), META)
+        d = {**to_json(table), "samples": value}
+        want = f"samples: expected a JSON array, got {type(value).__name__}"
+        with pytest.raises(TypeError, match=f"^{want}$"):
+            from_json(ThetaTable, d)
+
+    @pytest.mark.parametrize("value", ["12", 3, {"1": 2}])
+    def test_frozenset_field_takes_only_an_array(self, value):
+        d = {"rounds": [], "final_genuine_set": value, "final_filtered_set": []}
+        want = f"final_genuine_set: expected a JSON array, got {type(value).__name__}"
+        with pytest.raises(TypeError, match=f"^{want}$"):
+            from_json(FilterResult, d)
+
     def test_bool_rejected_in_every_float_field(self):
         with pytest.raises(TypeError, match="^exclusion_radius: expected a number, got True$"):
             from_json(FakingSearchConfig, {"exclusion_radius": True, "grid_step": 1.0})
@@ -200,6 +226,14 @@ class TestWriters:
         write_json(path, NoiseMode("explicit", 0.5))
         assert path.read_text() == '{\n  "mode": "explicit",\n  "sigma": 0.5\n}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_failed_rename_leaves_no_temp(self, tmp_path):
+        # the temp file is written, then cannot replace a directory
+        path = tmp_path / "out"
+        path.mkdir()
+        with pytest.raises(OSError, match="cannot write .*out: .*Is a directory"):
+            write_json(path, {"x": 1})
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
     def test_unencodable_value_keeps_old_file(self, tmp_path):
         path = tmp_path / "out.json"
