@@ -137,6 +137,17 @@ _LEVEL_BOUNDS = np.concatenate(
 )
 _BOUND_SLACK = 1e-9
 
+# A band is thin when at most this share of a candidate batch's (receiver,
+# point) pairs lie in it, or of the (receiver, start) pairs a walk can reach
+# at its first step (_reachable). _theta_batch then scores every candidate,
+# as the level bound would keep about those the in-band count keeps, and the
+# search walks with _refine_live; wider bands are bound-pruned and walk in
+# _refine's groups. Measured on preset deploys and calibration chunks (2-CPU
+# x86 host): in-band shares 0.011-0.023 in negligible noise and 0.42-0.64 in
+# significant noise; reachable shares 0.08-0.11 and 0.68-0.81. The cut sits
+# between both pairs.
+_THIN_SHARE = 0.3
+
 
 @dataclass(frozen=True, eq=False)
 class _Receivers:
@@ -217,13 +228,13 @@ class _Scratch:
     written, and its contents last only until the next ``get`` of its name.
     Stages share a name only between arrays that are never alive at once:
 
-    - "d2": a batch's squared distances (receivers, points); then the pair
-      bounds, and per in-band pair its table index; then per pair its
-      column, y offset and true distance, and the score matrix.
+    - "d2": a batch's squared distances (receivers, points), then its pair
+      bounds; then per pair its column, y offset and true distance, and the
+      score matrix.
     - "work": gathered receiver coordinates and band edges, and the squared
-      y distances; then per pair its squared distance and level index; then
-      per pair the claims' coordinates and the channel's output.
-    - "pairs": per pair the claimed distance, or a level's band edge.
+      y distances; then the level edges, and the level indices; then per
+      pair the claims' coordinates and the channel's output.
+    - "pairs": per pair the claimed distance.
     - "inside" and "mask": in-band masks; "mask" also holds the level
       counts of ``_pair_bounds``.
     """
@@ -266,12 +277,14 @@ def _theta_batch(
     per-node probability row's ``sum()``. A point therefore scores the same
     whatever else is in the batch.
 
-    With ``top``, only the points that can rank among the ``top`` best get
-    their exact value, the others -inf, so ``_ranked`` picks the same
-    ``top`` points as over every exact value. Points reach the channel in
-    order of an upper bound (``_bounds``): first the ``top`` highest, whose
-    lowest exact value is the floor, then every other point whose bound
-    reaches the floor, ties included. The rest cannot beat the floor.
+    With ``top``, a batch with more than ``_THIN_SHARE`` of its pairs in
+    band gives only the points that can rank among the ``top`` best their
+    exact value, the others -inf, so ``_ranked`` picks the same ``top``
+    points as over every exact value. Points reach the channel in order of
+    an upper bound (``_bounds``): first the ``top`` highest, whose lowest
+    exact value is the floor, then every other point whose bound reaches
+    the floor, ties included. The rest cannot beat the floor. A thinner
+    batch scores every point, as without ``top``.
 
     Large temporaries come from ``scratch`` (``_Scratch``), a fresh one when
     it is None; a search passes its own to every batch.
@@ -279,7 +292,7 @@ def _theta_batch(
     scratch = _Scratch() if scratch is None else scratch
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     d2, inside = _in_band(rx, pts, owner, scratch)
-    if top is None or len(pts) <= top:
+    if top is None or len(pts) <= top or np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
         return _scores(params, rx, pts, owner, inside, scratch)
     bound = _bounds(rx, d2, inside, owner, scratch)
 
@@ -380,61 +393,32 @@ def _scores(
     return out.sum(axis=0)
 
 
-def _pair_bounds(rx: _Receivers, d2, pick, scratch: _Scratch | None = None) -> np.ndarray:
-    """Upper bound on the deception probability of each pair, from its
-    squared claimed distance ``d2``; ``pick`` maps a (receivers, fakers)
-    table of ``rx`` to the pairs' entries, in an array that broadcasts
-    against ``d2``. The level counts take ``scratch``'s "mask", their
-    indices "work" and the result "d2", so ``d2`` and the picked entries
-    may live in "d2" and "work" while the levels are counted."""
+def _pair_bounds(rx: _Receivers, d2, owner, scratch: _Scratch | None = None) -> np.ndarray:
+    """Upper bound on the deception probability of each pair, from the
+    squared claimed distances ``d2`` (receivers, points) of points claimed
+    by ``owner``, as ``_columns``. The level counts take ``scratch``'s
+    "mask", the gathered level edges and the counts' indices "work" and the
+    result "d2", so ``d2`` may live in "d2"."""
     scratch = _Scratch() if scratch is None else scratch
     counts = scratch.get("mask", (2, *np.shape(d2)), np.uint8)
     level, outside = counts[0], counts[1].view(bool)
     level.fill(0)
+    work = scratch.get("work", np.shape(d2))
     for near2, far2 in zip(rx.level_near2, rx.level_far2):
-        level += np.less(d2, pick(near2), out=outside).view(np.uint8)
-        level += np.greater(d2, pick(far2), out=outside).view(np.uint8)
+        level += np.less(d2, _columns(near2, owner, work), out=outside).view(np.uint8)
+        level += np.greater(d2, _columns(far2, owner, work), out=outside).view(np.uint8)
     index = scratch.get("work", level.shape, np.intp)
     index[...] = level
     return _LEVEL_BOUNDS.take(index, out=scratch.get("d2", level.shape), mode="clip")
 
 
-# _bounds counts the level edges each pair clears on the whole (receivers,
-# points) batch when more than this share of its pairs is in band, and pair
-# by pair, gathering each in-band pair's edges, below it. On a 2-CPU x86
-# host the whole batch costs about 11 ns a pair, pair by pair about 4 ns a
-# pair plus 26 ns an in-band pair, so the two meet near a share of 0.27.
-# Candidate batches hold 0.02-0.04 in negligible noise, 0.5-0.8 in
-# significant noise.
-_DENSE_LEVEL_SHARE = 0.25
-
-
 def _bounds(rx: _Receivers, d2, inside, owner, scratch: _Scratch | None = None) -> np.ndarray:
     """Upper bound on each point's exact score, from the squared distances
     ``d2`` (receivers, points) of its in-band pairs ``inside``: its pairs'
-    bounds summed in receiver order, the same either way they are counted
-    (``_DENSE_LEVEL_SHARE``), as zeros add nothing to a sum."""
-    scratch = _Scratch() if scratch is None else scratch
-    slack = 1.0 + _BOUND_SLACK
-    if np.count_nonzero(inside) > _DENSE_LEVEL_SHARE * inside.size:
-        work = scratch.get("work", inside.shape)
-        pairs = _pair_bounds(rx, d2, lambda table: _columns(table, owner, work), scratch)
-        pairs *= inside
-        return pairs.sum(axis=0) * slack + _BOUND_SLACK
-    at = np.flatnonzero(inside)
-    n, width = len(at), inside.shape[1]
-    # d2 may live in scratch's "d2", which the table indices take next
-    d2 = np.take(d2, at, out=scratch.get("work", n), mode="clip")
-    index = np.floor_divide(at, width, out=scratch.get("d2", n, np.intp))
-    index *= rx.r.shape[1]
-    index += owner if np.ndim(owner) == 0 else owner[at % width]
-    pairs = _pair_bounds(
-        rx,
-        d2,
-        lambda table: np.take(table, index, out=scratch.get("pairs", n), mode="clip"),
-        scratch,
-    )
-    return np.bincount(np.remainder(at, width, out=at), pairs, width) * slack + _BOUND_SLACK
+    bounds summed in receiver order."""
+    pairs = _pair_bounds(rx, d2, owner, scratch)
+    pairs *= inside
+    return pairs.sum(axis=0) * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
 
 
 def theta_for_fake(
@@ -562,17 +546,6 @@ def _refine(
         return mvals
 
     return _walk(region, rx, config, pts, vals, owner, score)
-
-
-# optimize_fake_positions walks its starts with _refine_live while at most
-# this share of (receiver, start) pairs is reachable at the first step, and
-# with _refine's dense groups above it. Measured at the first step on the
-# presets: 0.08-0.11 on negligible-noise deploys and calibration chunks, where
-# the live walk takes refinement from about 70 to 27 ms a neg-noise-52
-# deploy, and 0.70-0.81 in significant noise, where starts move often and
-# the per-pair lists cost more than the dense broadcast (about 290 instead of
-# 175 ms a sig-noise-q-55 deploy). 2-CPU x86 host; the cut sits between.
-_LIVE_SHARE_MAX = 0.3
 
 
 def _reachable(
@@ -708,12 +681,15 @@ def optimize_fake_positions(
     geometry candidates (pairwise circle crossings and points on each
     equal-range circle, which carry the optima when the noise band is too
     thin for any grid), filtered to the feasible set, then greedy compass
-    refinement with step halving from the top few candidates. All fakers'
-    refinements walk in lockstep: in one batch tested only against the
-    receivers a move can reach when few are (``_refine_live``), otherwise
-    in groups whose batches hold no more points than the smallest candidate
-    set (``_refine``). Both walks end byte-equal, and each faker gets
-    exactly the outcome it would get searched alone.
+    refinement with step halving from the top few candidates. In a thin
+    band (``_THIN_SHARE``) every candidate is scored, and all fakers'
+    refinements walk in lockstep in one batch tested only against the
+    receivers a move can reach (``_refine_live``). In a wider band only the
+    candidates whose upper bound can rank them among the top few are scored
+    (``_theta_batch``), and the refinements walk in groups whose batches
+    hold no more points than the smallest candidate set (``_refine``). Both
+    walks end byte-equal, and each faker gets exactly the outcome it would
+    get searched alone.
 
     Every choice, of starts, of moves and of the fake, takes the highest
     value and breaks ties toward the lowest (x, y) (``_ranked``). A point
@@ -789,7 +765,7 @@ def _search(
 
     pts, vals, owner = (np.concatenate(part) for part in zip(*starts))
     first = np.full(len(pts), config.grid_step / 2.0)
-    if _reachable(rx, pts, owner, first).mean() <= _LIVE_SHARE_MAX:
+    if _reachable(rx, pts, owner, first).mean() <= _THIN_SHARE:
         pts, vals = _refine_live(params, region, rx, config, pts, vals, owner, scratch)
     else:
         group = max(1, min(sizes) // len(_COMPASS))

@@ -53,6 +53,8 @@ class CalibrationMeta:
     def __post_init__(self) -> None:
         if self.num_x0 < 1 or self.num_x_per_x0 < 1:
             raise ValueError("sample counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

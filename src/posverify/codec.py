@@ -7,10 +7,11 @@ that is absent takes the field's default, a value that is already an
 instance of its type passes through, an ``int`` takes only an integer and
 a ``float`` only a number (neither takes a bool; a ``float`` keeps a JSON
 integer as it is), and a tuple or frozenset only an array; an error inside
-a field or dict value names its key. Files are written to ``<name>.tmp`` and
-renamed into place, so a reader never sees half a file, and the temp file
-is removed when either step fails; ``read_json`` names the file and what it
-should hold when reading one fails.
+a field or dict value names its key. Each write goes to a temp file of its
+own, ``<name>.<random hex>.tmp`` next to the target, and is renamed into
+place, so a reader never sees half a file and writers of one path never
+share a temp file; the temp file is removed when either step fails.
+``read_json`` names the file and what it should hold when reading one fails.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import dataclasses
 import io
 import json
 import os
+import secrets
 import types
 import typing
 from pathlib import Path
@@ -114,10 +116,11 @@ def write_csv(path, header, rows) -> None:
 
 def _write_atomic(path, text: str) -> None:
     p = Path(path)
-    tmp = p.with_name(p.name + ".tmp")
+    tmp = p.with_name(f"{p.name}.{secrets.token_hex(8)}.tmp")
     try:
-        # newline="" writes csv's \r\n row endings untranslated
-        with open(tmp, "w", newline="") as fh:
+        # "x" never opens another write's file; newline="" writes csv's \r\n
+        # row endings untranslated
+        with open(tmp, "x", newline="") as fh:
             fh.write(text)
         os.replace(tmp, p)
     except OSError as exc:

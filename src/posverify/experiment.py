@@ -100,6 +100,8 @@ class ExperimentConfig:
             raise ValueError(f"need 2 <= n0 <= n, got n0={self.n0}, n={self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.filter_mode not in FILTER_MODES:
             raise ValueError(f"unknown filter mode {self.filter_mode!r}")
         if self.signal.noise_sigma != 0.0:

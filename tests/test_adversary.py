@@ -12,7 +12,7 @@ from scipy.stats import norm
 import posverify.adversary as adversary
 from posverify.adversary import (
     _COMPASS,
-    _LIVE_SHARE_MAX,
+    _THIN_SHARE,
     REFINE_STARTS,
     FakingSearchConfig,
     Region,
@@ -432,7 +432,11 @@ class TestBounds:
         params, x0s, gp, _ = instance
         rx = _receivers(params, x0s, gp)
         d2, rows, bands = level_edge_claims(rx)
-        bound = _pair_bounds(rx, d2, lambda table: table[rows, bands])
+        # each claim a point of its own faker, with its d2 on its receiver's row
+        claims = np.arange(len(d2))
+        batch = np.zeros((rx.r.shape[0], len(d2)))
+        batch[rows, claims] = d2
+        bound = _pair_bounds(rx, batch, bands)[rows, claims]
         p = _deception_prob_arrays(params, rx.r[rows, bands], np.sqrt(d2))
         assert np.all(bound >= p)
 
@@ -519,16 +523,38 @@ def top_instances(draw):
     return params, x0s, gp, pts, draw(st.sampled_from([1, 2, REFINE_STARTS, 8]))
 
 
-class TestPrunedTop:
-    @given(top_instances())
-    def test_same_top_as_scoring_every_candidate(self, instance):
-        params, x0s, gp, pts, k = instance
-        rx = _receivers(params, x0s, gp)
-        for f in range(len(x0s)):
-            assert_same_top(params, rx, pts, f, k)
-        assert_same_top(params, rx, pts, np.arange(len(pts)) % len(x0s), k)
+def recorded_calls(monkeypatch, *names):
+    """The names, in call order, of each call to these ``adversary``
+    functions from here on."""
+    calls = []
+    for name in names:
+        inner = getattr(adversary, name)
+        monkeypatch.setattr(
+            adversary, name, lambda *a, _name=name, _inner=inner: calls.append(_name) or _inner(*a)
+        )
+    return calls
 
-    def test_ties_at_the_floor_reach_the_tie_break(self):
+
+class TestPrunedTop:
+    # only batches wider than _THIN_SHARE are bound-pruned; each test that
+    # draws or holds such batches checks that they reach _bounds
+
+    def test_same_top_as_scoring_every_candidate(self, monkeypatch):
+        calls = recorded_calls(monkeypatch, "_bounds")
+
+        @given(top_instances())
+        def check(instance):
+            params, x0s, gp, pts, k = instance
+            rx = _receivers(params, x0s, gp)
+            for f in range(len(x0s)):
+                assert_same_top(params, rx, pts, f, k)
+            assert_same_top(params, rx, pts, np.arange(len(pts)) % len(x0s), k)
+
+        check()
+        assert calls
+
+    def test_ties_at_the_floor_reach_the_tie_break(self, monkeypatch):
+        calls = recorded_calls(monkeypatch, "_bounds")
         # mirror-symmetric receivers and duplicated candidates: the fifth
         # best value is shared by points that only (x, y) tells apart
         params = noise_params(2.0, "significant")
@@ -540,6 +566,7 @@ class TestPrunedTop:
         fifth = np.sort(values)[-REFINE_STARTS]
         assert np.sum(values == fifth) > 1
         assert_same_top(params, rx, pts, 0)
+        assert calls
 
     def test_fewer_candidates_than_starts(self):
         params = noise_params(2.0, "significant")
@@ -559,15 +586,23 @@ class TestPrunedTop:
         assert pts[top[0]].tolist() == [0.0, 0.0] and not values.any()
 
     @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-q-55"])
-    def test_preset_candidates(self, name):
+    def test_preset_candidates(self, name, monkeypatch):
+        thin = name.startswith("neg-")
         cfg = PRESETS[name]
         params = cfg.resolved_signal()
         nodes = deploy(cfg, 0)
         genuine = np.array([n.true_position for n in nodes[: cfg.n0]])
+        calls = recorded_calls(monkeypatch, "_bounds")
         for node in nodes[cfg.n0 :: 7]:
             pts = search_candidates(params, node.true_position, genuine, cfg.faking)
             rx = _receivers(params, node.true_position, genuine)
             assert_same_top(params, rx, pts, 0)
+            if thin:
+                # a thin band's batch scores every point exactly, as without top
+                got = _theta_batch(params, rx, pts, 0, top=REFINE_STARTS)
+                assert np.isfinite(got).all()
+                assert got.tobytes() == _theta_batch(params, rx, pts, 0).tobytes()
+        assert bool(calls) != thin
 
 
 def peak_bytes(fn):
@@ -634,7 +669,7 @@ class TestKernelMemory:
         pts, vals, owner = (np.concatenate(a) for a in zip(*starts))
         assert len(pts) == 48 * REFINE_STARTS
         first = np.full(len(pts), cfg.faking.grid_step / 2.0)
-        assert _reachable(rx, pts, owner, first).mean() <= _LIVE_SHARE_MAX
+        assert _reachable(rx, pts, owner, first).mean() <= _THIN_SHARE
         group = min(sizes) // len(_COMPASS)
         assert group < len(pts)
         live = peak_bytes(lambda: _refine_live(params, REGION, rx, cfg.faking, pts, vals, owner))
@@ -833,19 +868,18 @@ class TestRefineWalks:
     @pytest.mark.parametrize(
         "name,walk", [("neg-noise-52", "_refine_live"), ("sig-noise-q-55", "_refine")]
     )
-    def test_deploy_takes_the_walk_its_live_share_selects(self, name, walk, monkeypatch):
-        # negligible noise leaves about 9% of (receiver, start) pairs
-        # reachable at the first step, significant noise about 72%
-        calls = []
-        for fn in ("_refine", "_refine_live"):
-            inner = getattr(adversary, fn)
-            monkeypatch.setattr(
-                adversary, fn, lambda *a, _fn=fn, _inner=inner: calls.append(_fn) or _inner(*a)
-            )
+    def test_deploy_takes_the_path_its_thin_share_selects(self, name, walk, monkeypatch):
+        # negligible noise puts about 2% of candidate pairs in band and leaves
+        # about 9% of (receiver, start) pairs reachable at the first step;
+        # significant noise about 50% and 72%
+        calls = recorded_calls(monkeypatch, "_bounds", "_refine", "_refine_live")
         deploy(PRESETS[name], 0)
+        walks = [c for c in calls if c != "_bounds"]
         # the live walk takes every start in one batch, the dense one in groups
-        assert set(calls) == {walk}
-        assert len(calls) == 1 if walk == "_refine_live" else len(calls) > 1
+        assert set(walks) == {walk}
+        assert len(walks) == 1 if walk == "_refine_live" else len(walks) > 1
+        # thin candidate batches are scored exactly, wide ones bound-pruned
+        assert ("_bounds" in calls) == (walk == "_refine")
 
 
 @st.composite

@@ -149,6 +149,11 @@ class TestEstimateThetaTable:
         with pytest.raises(ValueError):
             estimate_theta_table(1, sig_meta(2, 2, seed=0))
 
+    def test_rejects_negative_seed(self):
+        # numpy's SeedSequence would fail later without naming the seed
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
+            sig_meta(seed=-2)
+
     def test_one_cell_sets_negligible_noise_theta_star(self):
         # neg-noise-52 calibrated at seed 0 (the preset uses seed 1, which
         # gives theta_star 2) has theta_star 3, and a single cell of row 22

@@ -149,6 +149,22 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert f"error: bad config {path}: {why} must be finite, got " in err
 
+    @pytest.mark.parametrize(
+        "args,seed",
+        [
+            (["run", "--seed", "-1"], -1),
+            (["theta", "--seed", "-3", "--out", "t.json"], -3),
+            (["run"], -2),  # the config file's seed
+        ],
+    )
+    def test_negative_seed_named(self, config_path, tmp_path, capsys, monkeypatch, args, seed):
+        monkeypatch.chdir(tmp_path)
+        if "--seed" not in args:
+            config_path = _edited(config_path, tmp_path, ("seed",), seed)
+        assert main([*args, "--config", str(config_path)]) == 1
+        assert f"seed must be nonnegative, got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
+
 
 class TestTheta:
     def test_calibrates_and_saves(self, config_path, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import posverify.codec as codec
 from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import CalibrationMeta, ThetaTable
 from posverify.channel import SignalParams
@@ -225,6 +226,22 @@ class TestWriters:
         path.write_text("old")
         write_json(path, NoiseMode("explicit", 0.5))
         assert path.read_text() == '{\n  "mode": "explicit",\n  "sigma": 0.5\n}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    def test_writes_to_one_path_never_share_a_temp_file(self, tmp_path, monkeypatch):
+        # a second write to the path runs whole between the first's write and
+        # its rename, as another process's write can
+        path = tmp_path / "out.json"
+        rename = codec.os.replace
+
+        def interleaved(src, dst):
+            monkeypatch.setattr(codec.os, "replace", rename)
+            write_json(path, {"inner": 1})
+            rename(src, dst)
+
+        monkeypatch.setattr(codec.os, "replace", interleaved)
+        write_json(path, {"outer": 2})
+        assert json.loads(path.read_text()) == {"outer": 2}
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
     def test_failed_rename_leaves_no_temp(self, tmp_path):
