@@ -32,6 +32,25 @@ _COMPASS = np.array(
     [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
 )
 
+# A start that moved along _COMPASS[d] keeps its step, so its next move along
+# _COMPASS[j] lands, up to rounding and clipping, where the walk scored a
+# point the iteration before: _SEEN[d, j] names it, the last move k with
+# _COMPASS[k] == _COMPASS[d] + _COMPASS[j], or _LEFT, the point it left, when
+# _COMPASS[j] == -_COMPASS[d]; -1 where there is none. An axial move meets
+# 4 last moves and the point left, a diagonal one 2 and that point.
+_LEFT = len(_COMPASS)
+
+
+def _seen_table() -> np.ndarray:
+    sums = _COMPASS[:, None, :] + _COMPASS
+    hits = (sums[:, :, None, :] == _COMPASS).all(axis=-1)
+    table = np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
+    table[~sums.any(axis=-1)] = _LEFT
+    return table
+
+
+_SEEN = _seen_table()
+
 
 @dataclass(frozen=True)
 class Region:
@@ -488,6 +507,16 @@ def _ranked(points: np.ndarray, values: np.ndarray, *major) -> np.ndarray:
     return np.lexsort((points[..., 1], points[..., 0], -values, *reversed(major)), axis=-1)
 
 
+def _top(points: np.ndarray, values: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` (at least 1) of the finite ``values`` by ``_ranked``.
+    Only values at or above the k-th highest, ties included, can be among
+    them, so only those are ranked."""
+    top = np.flatnonzero(values > -np.inf)
+    if len(top) > k:
+        top = top[values[top] >= np.partition(values[top], -k)[-k]]
+    return top[_ranked(points[top], values[top])[:k]]
+
+
 def _walk(
     region: Region,
     rx: _Receivers,
@@ -505,20 +534,50 @@ def _walk(
     moved, pts, steps)`` values the (starts, 8) ``moves`` from ``pts``,
     -inf where ``ok`` is False; ``moved`` marks the starts that moved last
     iteration, every start before the first.
+
+    A move at exactly the coordinates of a point the walk scored the
+    iteration before (``_SEEN``) takes that point's value and does not
+    reach ``score``. A point's value and feasibility depend only on its
+    coordinates and its faker, so the walk ends as if every move were
+    scored. The point a start left counts only once the start has moved
+    before, as the value it had there came from a scored move; a start's
+    first value is the caller's. Last iteration's points are kept only for
+    the starts that moved.
     """
     pts, vals = pts.copy(), vals.copy()
     rows = np.arange(len(pts))
     steps = np.full(len(pts), config.grid_step / 2.0)
     x0 = rx.x0[owner]
     moved = np.ones(len(pts), dtype=bool)
+    walked = np.zeros(len(pts), dtype=bool)
+    seen = None
     for _ in range(config.refine_iters):
         moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
         dist = np.hypot(moves[..., 0] - x0[:, 0, None], moves[..., 1] - x0[:, 1, None])
         ok = (dist >= config.exclusion_radius) & region.contains(moves)
-        mvals = score(moves, ok, moved, pts, steps)
+        if seen is None:
+            mvals = score(moves, ok, moved, pts, steps)
+        else:
+            at, seen_pts, seen_vals, way = seen
+            pick = _SEEN[way]
+            prior = np.take_along_axis(seen_pts, pick[..., None], axis=1)
+            known = (prior == moves[at]).all(axis=-1)
+            known &= pick >= 0
+            skip = np.zeros(ok.shape, dtype=bool)
+            skip[at] = known
+            mvals = score(moves, ok & ~skip, moved, pts, steps)
+            mvals[at] = np.where(known, np.take_along_axis(seen_vals, pick, axis=1), mvals[at])
         best = _ranked(moves, mvals)[:, 0]
         cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
         moved = cand_vals > vals
+        seen = None
+        if moved.any():
+            at = np.flatnonzero(moved)
+            seen_pts = np.concatenate([moves[at], pts[at, None]], axis=1)
+            # NaN equals no move: a first value is not one the walk scored
+            seen_pts[~walked[at], _LEFT] = np.nan
+            seen = at, seen_pts, np.concatenate([mvals[at], vals[at, None]], axis=1), best[at]
+            walked |= moved
         pts[moved], vals[moved] = cand_pts[moved], cand_vals[moved]
         steps[~moved] /= 2.0
     return pts, vals
@@ -758,8 +817,7 @@ def _search(
         # refine from the strongest few starts; cheap insurance against the
         # greedy walk stalling on a local ridge
         values = _theta_batch(params, rx, cands, f, top=REFINE_STARTS, scratch=scratch)
-        top = np.flatnonzero(values > -np.inf)
-        top = top[_ranked(cands[top], values[top])[:REFINE_STARTS]]
+        top = _top(cands, values, REFINE_STARTS)
         starts.append((cands[top], values[top], np.full(len(top), f)))
     del geometry
 

@@ -94,14 +94,26 @@ def _cell_rng(seed: int, domain: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(domain, *key)))
 
 
-def _cell_inputs(meta: CalibrationMeta, n_genuine: int, i: int, j: int):
-    """Cell (i, j)'s faker position (2,) and genuine set (n_genuine, 2),
-    from its own streams."""
+def _cell_x0(meta: CalibrationMeta, i: int) -> np.ndarray:
+    """Faker position i, (2,), from its own stream."""
     region = meta.region
-    x0 = _cell_rng(meta.seed, _DOMAIN_X0, i).uniform(
+    return _cell_rng(meta.seed, _DOMAIN_X0, i).uniform(
         (region.x_min, region.y_min), (region.x_max, region.y_max)
     )
-    return x0, region.sample(_cell_rng(meta.seed, _DOMAIN_GENUINE, i, j), n_genuine)
+
+
+def _cell_inputs(meta: CalibrationMeta, n_genuine: int, i: int, j: int):
+    """Cell (i, j)'s faker position (2,) and genuine set (n_genuine, 2),
+    from their own streams."""
+    return _cell_x0(meta, i), meta.region.sample(
+        _cell_rng(meta.seed, _DOMAIN_GENUINE, i, j), n_genuine
+    )
+
+
+def _per_x0_means(samples, meta: CalibrationMeta) -> list[float]:
+    """Each faker position's mean optimizer value over its genuine sets."""
+    sets = meta.num_x_per_x0
+    return [float(np.mean(samples[i * sets : (i + 1) * sets])) for i in range(meta.num_x0)]
 
 
 def _calibration_chunk(job) -> list[float]:
@@ -135,25 +147,47 @@ def estimate_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> The
         raise ValueError("calibration requires positive noise_sigma")
 
     n_genuine = math.ceil(n / 2)
-    sets = meta.num_x_per_x0
-    cells = meta.num_x0 * sets
+    cells = meta.num_x0 * meta.num_x_per_x0
     jobs = [
         (meta, n_genuine, range(lo, min(lo + CHUNK_CELLS, cells)))
         for lo in range(0, cells, CHUNK_CELLS)
     ]
     samples = [s for chunk in pool_map(_calibration_chunk, jobs, workers) for s in chunk]
 
-    per_x0_means = [
-        float(np.mean(samples[i * sets : (i + 1) * sets])) for i in range(meta.num_x0)
-    ]
     pooled = sorted(samples)
     return ThetaTable(
         n=n,
-        theta_star=math.ceil(max(per_x0_means)),
+        theta_star=math.ceil(max(_per_x0_means(samples, meta))),
         quantiles={t / 10: float(pooled[_decile_rank(t, len(pooled))]) for t in QUANTILE_TENTHS},
         samples=tuple(float(s) for s in samples),
         meta=meta,
     )
+
+
+@dataclass(frozen=True)
+class ThetaStarSource:
+    """The faker position whose mean set a table's theta_star: its index and
+    coordinates, its mean over its genuine sets, that mean's standard error
+    over the sets (NaN with one set), and the margin theta_star - mean."""
+
+    position: int
+    x0: tuple[float, float]
+    mean: float
+    stderr: float
+    margin: float
+
+
+def theta_star_source(table: ThetaTable) -> ThetaStarSource:
+    """Which position set ``table``'s theta_star, the first on a tie, with
+    how far its mean sits below theta_star and how well its sets pin it."""
+    meta = table.meta
+    means = _per_x0_means(table.samples, meta)
+    i = int(np.argmax(means))
+    sets = meta.num_x_per_x0
+    row = np.array(table.samples[i * sets : (i + 1) * sets])
+    stderr = float(row.std(ddof=1) / math.sqrt(sets)) if sets > 1 else math.nan
+    x, y = _cell_x0(meta, i)
+    return ThetaStarSource(i, (float(x), float(y)), means[i], stderr, table.theta_star - means[i])
 
 
 def threshold(active_count: int, theta: float) -> float:

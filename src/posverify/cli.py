@@ -6,7 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .calibration import estimate_theta_table, table_to_dict
+from .calibration import estimate_theta_table, table_to_dict, theta_star_source
 from .codec import write_csv, write_json
 from .experiment import (
     NOISE_MODES,
@@ -32,6 +32,12 @@ def _cmd_theta(args) -> int:
     table = estimate_theta_table(config.n if args.n is None else args.n, meta, workers=args.workers)
     write_json(args.out, table_to_dict(table))
     print(f"theta_star={table.theta_star} samples={len(table.samples)} -> {args.out}")
+    src = theta_star_source(table)
+    print(
+        f"set by position {src.position} at ({src.x0[0]:.4f}, {src.x0[1]:.4f}): "
+        f"mean {src.mean:.4f} +- {src.stderr:.4f} over {meta.num_x_per_x0} sets, "
+        f"margin {src.margin:.4f}"
+    )
     return 0
 
 

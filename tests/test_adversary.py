@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import norm
 
@@ -32,6 +32,7 @@ from posverify.adversary import (
     _Scratch,
     _search,
     _theta_batch,
+    _top,
     optimize_fake_position,
     optimize_fake_positions,
     theta_for_fake,
@@ -605,6 +606,40 @@ class TestPrunedTop:
         assert bool(calls) != thin
 
 
+@st.composite
+def ranked_candidates(draw):
+    """Candidates on a small lattice with values from a short list, so
+    values tie at the cut and whole (value, x, y) keys repeat, and -inf
+    leaves fewer finite values than starts now and then."""
+    n = draw(st.integers(0, 30))
+    coord = st.sampled_from([0.0, 0.5, 1.0])
+    points = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    value = st.one_of(
+        st.sampled_from([-np.inf, 0.0, 0.25, 1.0]), st.floats(0.0, 4.0, allow_nan=False)
+    )
+    values = draw(st.lists(value, min_size=n, max_size=n))
+    return np.array(points, dtype=float).reshape(-1, 2), np.array(values, dtype=float)
+
+
+class TestTopStarts:
+    @given(ranked_candidates(), st.sampled_from([1, 2, REFINE_STARTS]))
+    @example(  # the fifth and sixth values tie at the cut; (x, y) decides
+        (np.array([(1.0, 0.0)] * 3 + [(0.5, 0.0), (0.0, 1.0), (0.0, 0.5), (1.0, 1.0)]),
+         np.array([3.0, 2.0, 2.0, 1.0, 0.5, 0.5, 0.5])),
+        REFINE_STARTS,
+    )
+    @example(  # three finite values for five starts
+        (np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.5), (0.0, 1.0)]),
+         np.array([-np.inf, 1.0, 0.0, 2.0])),
+        REFINE_STARTS,
+    )
+    def test_same_starts_as_ranking_every_finite_value(self, candidates, k):
+        points, values = candidates
+        finite = np.flatnonzero(values > -np.inf)
+        want = finite[_ranked(points[finite], values[finite])[:k]]
+        assert _top(points, values, k).tobytes() == want.tobytes()
+
+
 def peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -835,6 +870,30 @@ def walk_instances(draw):
     return params, rx, cfg, starts, vals, owner
 
 
+def reference_walk(params, region, rx, cfg, pts, vals, owner):
+    """The compass walk that scores every feasible move of an iteration in
+    one ``_theta_batch`` call: where it ends, and how many moves it scored."""
+    pts, vals = pts.copy(), vals.copy()
+    rows = np.arange(len(pts))
+    steps = np.full(len(pts), cfg.grid_step / 2.0)
+    x0 = rx.x0[owner]
+    move_owner = np.broadcast_to(owner[:, None], (len(pts), len(_COMPASS)))
+    scored = 0
+    for _ in range(cfg.refine_iters):
+        moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
+        dist = np.hypot(moves[..., 0] - x0[:, 0, None], moves[..., 1] - x0[:, 1, None])
+        ok = (dist >= cfg.exclusion_radius) & region.contains(moves)
+        mvals = np.full(ok.shape, -np.inf)
+        mvals[ok] = _theta_batch(params, rx, moves[ok], move_owner[ok])
+        scored += np.count_nonzero(ok)
+        best = _ranked(moves, mvals)[:, 0]
+        cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
+        moved = cand_vals > vals
+        pts[moved], vals[moved] = cand_pts[moved], cand_vals[moved]
+        steps[~moved] /= 2.0
+    return pts, vals, scored
+
+
 class TestRefineWalks:
     @given(walk_instances())
     def test_live_walk_equals_dense_walk(self, instance):
@@ -843,6 +902,51 @@ class TestRefineWalks:
         live = _refine_live(params, REGION, rx, cfg, starts, vals, owner)
         assert live[0].tobytes() == dense[0].tobytes()
         assert live[1].tobytes() == dense[1].tobytes()
+
+    @given(walk_instances())
+    def test_walks_end_where_scoring_every_move_ends(self, instance):
+        # the walks reuse last iteration's values; the reference scores every
+        # move, so a reused value that differs from the point's own shows
+        params, rx, cfg, starts, vals, owner = instance
+        want = reference_walk(params, REGION, rx, cfg, starts, vals, owner)[:2]
+        for walk in (_refine, _refine_live):
+            assert_same_bytes(walk(params, REGION, rx, cfg, starts, vals, owner), want)
+
+    @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-q-55"])
+    def test_moves_scored_the_iteration_before_skip_the_scorer(self, name, monkeypatch):
+        # significant noise: starts move, and their next moves meet points
+        # scored the iteration before. Negligible noise: no start moves, so
+        # every feasible move reaches the scorer
+        walks = []
+        inner = adversary._walk
+
+        def counted_walk(region, rx, config, pts, vals, owner, score):
+            sent = []
+
+            def counted(moves, ok, *rest):
+                sent.append(np.count_nonzero(ok))
+                return score(moves, ok, *rest)
+
+            # copies: the dense walks' starts are views that take their results
+            start = (region, rx, config, pts.copy(), vals.copy(), owner.copy())
+            got = inner(region, rx, config, pts, vals, owner, counted)
+            walks.append((*start, got, sum(sent)))
+            return got
+
+        monkeypatch.setattr(adversary, "_walk", counted_walk)
+        cfg = PRESETS[name]
+        deploy(cfg, 0)
+        params = cfg.resolved_signal()
+        sent = made = 0
+        for region, rx, config, pts, vals, owner, got, count in walks:
+            *want, scored = reference_walk(params, region, rx, config, pts, vals, owner)
+            assert_same_bytes(got, want)
+            sent, made = sent + count, made + scored
+        assert walks and made > 0
+        if name.startswith("neg-"):
+            assert sent == made
+        else:
+            assert sent < 0.9 * made
 
     @pytest.mark.parametrize("walk", [_refine, _refine_live])
     def test_walk_reaches_bands_beyond_its_first_reach(self, walk):

@@ -22,6 +22,7 @@ from posverify.calibration import (
     save_theta_table,
     table_from_dict,
     table_to_dict,
+    theta_star_source,
     threshold,
 )
 from posverify.channel import SignalParams, ideal_received_power
@@ -185,6 +186,30 @@ class TestEstimateThetaTable:
         t = preset_table("sig-noise-62", 5)
         assert t.theta_star == 21
         assert t.schedule()[-2:] == (21.46620059149831, 21.0)
+
+    def test_source_is_the_first_position_with_the_highest_mean(self):
+        # means 1.5, 2.5, 2.5: the first of the tied positions
+        meta = sig_meta(num_x0=3, num_x_per_x0=2)
+        quantiles = {t / 10: 1.0 for t in range(1, 10)}
+        table = ThetaTable(6, 3, quantiles, (1.0, 2.0, 2.5, 2.5, 0.5, 4.5), meta)
+        src = theta_star_source(table)
+        assert (src.position, src.mean, src.stderr, src.margin) == (1, 2.5, 0.0, 0.5)
+        assert src.x0 == tuple(_cell_inputs(meta, 3, 1, 0)[0])
+        # one set per position has no standard error
+        one = ThetaTable(6, 2, quantiles, (1.0, 2.0, 1.5), sig_meta(num_x0=3, num_x_per_x0=1))
+        src = theta_star_source(one)
+        assert (src.position, src.mean, src.margin) == (1, 2.0, 0.0)
+        assert math.isnan(src.stderr)
+
+    def test_source_names_the_row_of_the_rare_alignment(self):
+        # the row that test_one_cell_sets_negligible_noise_theta_star pins:
+        # one of its 20 sets lifts its mean, so its standard error is wide
+        table = preset_table("neg-noise-52", 0)
+        src = theta_star_source(table)
+        row = np.array(table.samples[22 * 20 : 23 * 20])
+        assert src.position == 22 and table.theta_star == 3
+        assert src.mean == float(np.mean(row)) and src.margin == 3 - src.mean
+        assert src.stderr == pytest.approx(row.std(ddof=1) / math.sqrt(20))
 
     def test_schedule_layout(self):
         t = small_table()

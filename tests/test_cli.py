@@ -1,9 +1,19 @@
 import json
+import math
+import re
+import runpy
+import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from posverify.calibration import estimate_theta_table, load_theta_table, table_to_dict
+from posverify.calibration import (
+    _cell_x0,
+    estimate_theta_table,
+    load_theta_table,
+    table_to_dict,
+)
 from posverify.cli import main
 from posverify.codec import write_json
 from posverify.experiment import (
@@ -175,6 +185,30 @@ class TestTheta:
         assert table.meta == load_config(config_path).calibration_meta()
         assert "theta_star=" in capsys.readouterr().out
 
+    def test_names_the_position_that_set_theta_star(self, config_path, tmp_path, capsys):
+        out = tmp_path / "table.json"
+        assert main(["theta", "--config", str(config_path), "--out", str(out)]) == 0
+        line = capsys.readouterr().out.splitlines()[1]
+        got = re.fullmatch(
+            r"set by position (\d+) at \((\S+), (\S+)\): mean (\S+) \+- (\S+) "
+            r"over (\d+) sets, margin (\S+)",
+            line,
+        )
+        assert got, line
+        i, x, y, mean, stderr, sets, margin = got.groups()
+        table = load_theta_table(out)
+        meta = table.meta
+        assert int(sets) == meta.num_x_per_x0 == 2
+        rows = np.reshape(table.samples, (meta.num_x0, meta.num_x_per_x0))
+        i = int(i)
+        assert i == int(np.argmax(rows.mean(axis=1)))
+        assert table.theta_star == math.ceil(rows[i].mean())
+        assert (float(x), float(y)) == pytest.approx(_cell_x0(meta, i), abs=1e-4)
+        assert float(mean) == pytest.approx(rows[i].mean(), abs=1e-4)
+        assert float(stderr) == pytest.approx(rows[i].std(ddof=1) / math.sqrt(2), abs=1e-4)
+        assert float(margin) == pytest.approx(table.theta_star - rows[i].mean(), abs=1e-4)
+        assert 0.0 <= float(margin) < 1.0
+
     def test_table_feeds_a_run(self, tmp_path, config_path, monkeypatch):
         table = tmp_path / "table.json"
         assert main(["theta", "--config", str(config_path), "--out", str(table)]) == 0
@@ -277,3 +311,15 @@ class TestSweep:
     def test_bad_span(self, config_path, capsys, span):
         assert main(["sweep", "--config", str(config_path), "--n0", span]) == 1
         assert f"bad span {span!r}, want lo:hi or lo:hi:step" in capsys.readouterr().err
+
+
+class TestModule:
+    def test_python_m_runs_the_command(self, config_path, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "table.json"
+        argv = ["posverify", "theta", "--config", str(config_path), "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("posverify", run_name="__main__")
+        assert done.value.code == 0
+        assert "theta_star=" in capsys.readouterr().out
+        assert load_theta_table(out).n == 8
