@@ -249,13 +249,19 @@ class _Scratch:
 
     - "d2": a batch's squared distances (receivers, points), then its pair
       bounds; then per pair its column, y offset and true distance, and the
-      score matrix.
+      score matrix. In ``_refine_live``, the squared distances and squared
+      y distances of each (live pair, move).
     - "work": gathered receiver coordinates and band edges, and the squared
       y distances; then the level edges, and the level indices; then per
-      pair the claims' coordinates and the channel's output.
+      pair the claims' coordinates and the channel's output. In
+      ``_refine_live``, the far-edge and feasibility tests of each (live
+      pair, move).
     - "pairs": per pair the claimed distance.
     - "inside" and "mask": in-band masks; "mask" also holds the level
-      counts of ``_pair_bounds``.
+      counts of ``_pair_bounds``, and the columns ``_score_columns`` copies
+      for ``_scores``. In ``_refine_live``, "mask" holds the band test of
+      each (live pair, move), and "inside" the (receivers, moves) mask whose
+      columns are scored.
     """
 
     # bytes per cell: the float arrays above, the masks, and two level counts
@@ -314,21 +320,11 @@ def _theta_batch(
     if top is None or len(pts) <= top or np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
         return _scores(params, rx, pts, owner, inside, scratch)
     bound = _bounds(rx, d2, inside, owner, scratch)
-
-    def score(keep):
-        cols = np.flatnonzero(keep)
-        part = owner if np.ndim(owner) == 0 else owner[cols]
-        mask = scratch.get("mask", (len(inside), len(cols)), bool)
-        np.take(inside, cols, axis=1, out=mask, mode="clip")
-        values[cols] = _scores(params, rx, pts[cols], part, mask, scratch)
-
     values = np.full(len(pts), -np.inf)
-    first = np.zeros(len(pts), dtype=bool)
-    first[np.argsort(bound, kind="stable")[-top:]] = True
-    score(first)
-    rest = bound >= values[first].min()
-    rest &= ~first
-    score(rest)
+    first = np.sort(np.argsort(bound, kind="stable")[-top:])
+    values[first] = _score_columns(params, rx, pts, owner, inside, first, scratch)
+    rest = np.setdiff1d(np.flatnonzero(bound >= values[first].min()), first, assume_unique=True)
+    values[rest] = _score_columns(params, rx, pts, owner, inside, rest, scratch)
     return values
 
 
@@ -410,6 +406,25 @@ def _scores(
     out.fill(0.0)
     out[inside] = probs
     return out.sum(axis=0)
+
+
+def _score_columns(
+    params: SignalParams,
+    rx: _Receivers,
+    pts: np.ndarray,
+    owner,
+    inside: np.ndarray,
+    cols: np.ndarray,
+    scratch: _Scratch,
+) -> np.ndarray:
+    """``_scores`` of the points ``pts[cols]``, claimed by ``owner`` as
+    ``_columns``, from those columns of the in-band mask ``inside``
+    (receivers, points). The columns are copied into ``scratch``'s "mask",
+    so ``inside`` may live in "inside"."""
+    mask = scratch.get("mask", (len(inside), len(cols)), bool)
+    np.take(inside, cols, axis=1, out=mask, mode="clip")
+    part = owner if np.ndim(owner) == 0 else owner[cols]
+    return _scores(params, rx, pts[cols], part, mask, scratch)
 
 
 def _pair_bounds(rx: _Receivers, d2, owner, scratch: _Scratch | None = None) -> np.ndarray:
@@ -495,9 +510,9 @@ def _grid_points(region: Region, step: float) -> np.ndarray:
 
 
 def _feasible(region: Region, x0: np.ndarray, radius: float, pts: np.ndarray) -> np.ndarray:
-    """Which of ``pts`` a faker at ``x0`` may claim: in the region, and at
-    least ``radius`` from ``x0``."""
-    dist = np.hypot(pts[:, 0] - x0[0], pts[:, 1] - x0[1])
+    """Which of ``pts`` (..., 2) a faker at ``x0`` may claim: in the region,
+    and at least ``radius`` from ``x0``, which broadcasts against them."""
+    dist = np.hypot(pts[..., 0] - x0[..., 0], pts[..., 1] - x0[..., 1])
     return (dist >= radius) & region.contains(pts)
 
 
@@ -547,14 +562,13 @@ def _walk(
     pts, vals = pts.copy(), vals.copy()
     rows = np.arange(len(pts))
     steps = np.full(len(pts), config.grid_step / 2.0)
-    x0 = rx.x0[owner]
+    x0 = rx.x0[owner, None]
     moved = np.ones(len(pts), dtype=bool)
     walked = np.zeros(len(pts), dtype=bool)
     seen = None
     for _ in range(config.refine_iters):
         moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
-        dist = np.hypot(moves[..., 0] - x0[:, 0, None], moves[..., 1] - x0[:, 1, None])
-        ok = (dist >= config.exclusion_radius) & region.contains(moves)
+        ok = _feasible(region, x0, config.exclusion_radius, moves)
         if seen is None:
             mvals = score(moves, ok, moved, pts, steps)
         else:
@@ -624,23 +638,13 @@ def _reachable(
     pair that ``_in_band`` keeps is dropped. A start's step only shrinks
     while it stays put, so its receivers stay valid until it moves.
     """
-    # in place where it can, as _in_band: a deploy's starts all come at once
-    dist = _receiver_columns(rx, 0, owner) - pts[:, 0]
-    dy = _receiver_columns(rx, 1, owner) - pts[:, 1]
-    np.hypot(dist, dy, out=dist)
-    del dy
+    dist = np.hypot(
+        _receiver_columns(rx, 0, owner) - pts[:, 0], _receiver_columns(rx, 1, owner) - pts[:, 1]
+    )
     reach = steps * np.sqrt(2.0) + _BAND_SLACK * (np.abs(pts).sum(axis=1) + steps)
-    edge = dist + reach
-    edge *= 1.0 + _BAND_SLACK
-    edge *= edge
-    live = edge >= rx.near2[:, owner]
-    del edge
-    dist -= reach
-    np.maximum(dist, 0.0, out=dist)
-    dist *= 1.0 - _BAND_SLACK
-    dist *= dist
-    live &= dist <= rx.far2[:, owner]
-    return live
+    near = np.square((dist + reach) * (1.0 + _BAND_SLACK))
+    far = np.square(np.maximum(dist - reach, 0.0) * (1.0 - _BAND_SLACK))
+    return (near >= rx.near2[:, owner]) & (far <= rx.far2[:, owner])
 
 
 def _refine_live(
@@ -658,32 +662,29 @@ def _refine_live(
     every start walks in one batch.
 
     Each live (receiver, start) pair carries its receiver's coordinates and
-    band edges, and is rebuilt only when its start moves. A move's pairs
-    take ``_in_band``'s per-pair ``d2`` and test, so a move has the same
-    in-band pairs as in ``_refine``. A feasible move with none scores
-    exactly 0.0, as its all-zero column sums to there; the others reach
-    ``_scores`` with every receiver's row, so each sums in ``_refine``'s
-    order, and the walks end byte-equal.
+    band edges. The pairs of every start are re-found whenever a start has
+    moved, and kept otherwise. A move's pairs take ``_in_band``'s per-pair
+    ``d2`` and test, so a move has the same in-band pairs as in
+    ``_refine``. A feasible move with none scores exactly 0.0, as its
+    all-zero column sums to there; the others reach ``_scores`` with every
+    receiver's row, so each sums in ``_refine``'s order, and the walks end
+    byte-equal.
     """
     scratch = _Scratch() if scratch is None else scratch
     move_owner = np.repeat(owner, len(_COMPASS))
     n_rx = rx.r.shape[0]
-    # live pairs: start, receiver, and the receiver's x, y and band edges
-    live = [np.empty(0, dtype=np.intp)] * 2 + [np.empty(0)] * 4
+    live = None
 
     def score(moves, ok, moved, pts, steps):
         nonlocal live
         if moved.any():
-            at = np.flatnonzero(moved)
-            rcv, col = np.nonzero(_reachable(rx, pts[at], owner[at], steps[at]))
-            start, band = at[col], owner[at[col]]
-            new = (start, rcv, *rx.coords[:, rcv, band], rx.near2[rcv, band], rx.far2[rcv, band])
-            kept = ~moved[live[0]]
-            live = [np.concatenate([old[kept], part]) for old, part in zip(live, new)]
+            rcv, start = np.nonzero(_reachable(rx, pts, owner, steps))
+            band = owner[start]
+            live = (start, rcv, *rx.coords[:, rcv, band], rx.near2[rcv, band], rx.far2[rcv, band])
+        # live pairs: start, receiver, and the receiver's x, y and band edges
         start, rcv, gx, gy, near2, far2 = live
         # _in_band's d2 and test on each (live pair, move)
         shape = (len(start), len(_COMPASS))
-        # both in "d2", which the score matrices below outgrow
         d2, dy2 = scratch.get("d2", (2, *shape))
         np.take(moves[..., 0], start, axis=0, out=d2, mode="clip")
         np.subtract(gx[:, None], d2, out=d2)
@@ -692,31 +693,26 @@ def _refine_live(
         np.subtract(gy[:, None], dy2, out=dy2)
         dy2 *= dy2
         d2 += dy2
-        inside = np.greater_equal(d2, near2[:, None], out=scratch.get("inside", shape, bool))
-        test = scratch.get("mask", shape, bool)
+        inside = np.greater_equal(d2, near2[:, None], out=scratch.get("mask", shape, bool))
+        test = scratch.get("work", shape, bool)
         inside &= np.less_equal(d2, far2[:, None], out=test)
         inside &= np.take(ok, start, axis=0, out=test, mode="clip")
-        pair, move = np.nonzero(inside)
+        # the (receivers, moves) mask, in "inside", which _score_columns spares
+        full = scratch.get("inside", (n_rx, *ok.shape), bool)
+        full.fill(False)
+        full[rcv, start] = inside
+        full = full.reshape(n_rx, -1)
+        cols = np.flatnonzero(full.any(axis=0))
         # the views go before their buffers are asked for at other sizes
         del d2, dy2, inside, test
-        at = start[pair] * len(_COMPASS) + move
-        scored = np.zeros(ok.size, dtype=bool)
-        scored[at] = True
-        cols = np.flatnonzero(scored)
-        mask = scratch.get("mask", (n_rx, len(cols)), bool)
-        mask.fill(False)
-        mask[rcv[pair], np.searchsorted(cols, at)] = True
         mvals = np.where(ok, 0.0, -np.inf)
         # _scores holds every receiver's row of its moves: slices of at most
         # four entries per live (pair, move) keep the peak with the live pairs
         width = max(1, 4 * len(start) * len(_COMPASS) // n_rx)
         for lo in range(0, len(cols), width):
             part = cols[lo : lo + width]
-            # a contiguous copy of the slice, in "inside", which is spent
-            moves_in = scratch.get("inside", (n_rx, len(part)), bool)
-            np.copyto(moves_in, mask[:, lo : lo + width])
-            mvals.reshape(-1)[part] = _scores(
-                params, rx, moves.reshape(-1, 2)[part], move_owner[part], moves_in, scratch
+            mvals.reshape(-1)[part] = _score_columns(
+                params, rx, moves.reshape(-1, 2), move_owner, full, part, scratch
             )
         return mvals
 
@@ -772,14 +768,16 @@ def _search(
     """``optimize_fake_positions`` on the receivers ``rx``, its batches
     taking their temporaries from ``scratch``; by default a new one, sized
     for the largest batch."""
-    corners = np.array(
-        [
-            (region.x_min, region.y_min),
-            (region.x_min, region.y_max),
-            (region.x_max, region.y_min),
-            (region.x_max, region.y_max),
-        ]
+    if not np.all(region.contains(rx.x0)):
+        raise ValueError("true_position lies outside the region")
+    # each position's farthest corner
+    x, y = rx.x0.T
+    far = np.hypot(
+        np.maximum(x - region.x_min, region.x_max - x),
+        np.maximum(y - region.y_min, region.y_max - y),
     )
+    if np.any(far < config.exclusion_radius):
+        raise ValueError("exclusion ball covers the whole region; no feasible fake exists")
     grid = _grid_points(region, config.grid_step)
     shared = rx.gp.ndim == 2
     pairs = _receiver_pairs(rx.gp) if shared else None
@@ -788,11 +786,6 @@ def _search(
     # of the grid per faker
     geometry = []
     for f, x0 in enumerate(rx.x0):
-        if not region.contains(x0):
-            raise ValueError("true_position lies outside the region")
-        corner_dist = np.hypot(corners[:, 0] - x0[0], corners[:, 1] - x0[1])
-        if corner_dist.max() < config.exclusion_radius:
-            raise ValueError("exclusion ball covers the whole region; no feasible fake exists")
         gp = rx.gp if shared else rx.gp[f]
         cands = np.concatenate(
             [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .calibration import estimate_theta_table, table_to_dict, theta_star_source
 from .codec import write_csv, write_json
@@ -19,7 +20,18 @@ from .experiment import (
 )
 
 
+def _require_directory(path) -> None:
+    """Fail before any calibration or trial when ``path``, a file to write,
+    names a directory that does not exist."""
+    if path is None:
+        return
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise OSError(f"cannot write {path}: no directory {directory}")
+
+
 def _cmd_theta(args) -> int:
+    _require_directory(args.out)
     config = load_config(args.config) if args.config is not None else PRESETS["sig-noise-62"]
     changes = {}
     if args.seed is not None:
@@ -56,6 +68,7 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    _require_directory(args.report)
     config = _apply_overrides(_base_config(args), args)
     report = run_experiment(config, workers=args.workers)
     print(
@@ -83,6 +96,7 @@ def _parse_span(text: str) -> range:
 
 
 def _cmd_sweep(args) -> int:
+    _require_directory(args.report)
     base = _apply_overrides(_base_config(args), args)
     # every point's config first, so a bad n0 fails before any point runs
     configs = [replace(base, n0=n0) for n0 in _parse_span(args.n0)]

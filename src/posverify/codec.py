@@ -126,4 +126,5 @@ def _write_atomic(path, text: str) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):
             tmp.unlink()
-        raise OSError(f"cannot write {p}: {exc}") from exc
+        # strerror leaves out the temp file's name, which exc would give
+        raise OSError(f"cannot write {p}: {exc.strerror or exc}") from exc

@@ -27,16 +27,6 @@ RECALIBRATE = "recalibrate"
 NOISE_MODES = ("negligible", "significant", "explicit")
 FILTER_MODES = ("standard", "quantile")
 
-CSV_COLUMNS = (
-    "step",
-    "genuine_active",
-    "malicious_active",
-    "threshold",
-    "genuine_deleted",
-    "malicious_deleted",
-    "deleted_approvals",
-)
-
 # seed-derivation domains; deployment and measurement noise stay independent
 _DOMAIN_TRIAL = 11
 _DOMAIN_DEPLOY = 12
@@ -238,6 +228,9 @@ class StepRow:
             str(self.malicious_deleted),
             self.deleted_approvals,
         ]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(StepRow))
 
 
 def _approval_span(approvals) -> str:

@@ -201,6 +201,26 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimize_fake_position(params, REGION, (120.0, 50.0), [(20.0, 20.0)], cfg)
 
+    @pytest.mark.parametrize(
+        "last,radius,message",
+        [
+            ((120.0, 50.0), 5.0, "true_position lies outside the region"),
+            # the region's corners all lie within 71 m of its centre, and
+            # more than 100 m from the other two fakers
+            ((50.0, 50.0), 100.0, "exclusion ball covers the whole region"),
+        ],
+    )
+    def test_last_of_three_fakers_fails_before_any_scoring(
+        self, monkeypatch, last, radius, message
+    ):
+        calls = recorded_calls(monkeypatch, "_theta_batch")
+        params = make_params(1e-10)
+        cfg = FakingSearchConfig(exclusion_radius=radius, grid_step=10.0)
+        x0s = [(5.0, 5.0), (95.0, 5.0), last]
+        with pytest.raises(ValueError, match=message):
+            optimize_fake_positions(params, REGION, x0s, [(20.0, 30.0)], cfg)
+        assert calls == []
+
     def test_deterministic(self):
         params = make_params(3e-9)
         rng = np.random.default_rng(4)
@@ -531,7 +551,9 @@ def recorded_calls(monkeypatch, *names):
     for name in names:
         inner = getattr(adversary, name)
         monkeypatch.setattr(
-            adversary, name, lambda *a, _name=name, _inner=inner: calls.append(_name) or _inner(*a)
+            adversary,
+            name,
+            lambda *a, _name=name, _inner=inner, **kw: calls.append(_name) or _inner(*a, **kw),
         )
     return calls
 

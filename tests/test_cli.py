@@ -14,6 +14,7 @@ from posverify.calibration import (
     load_theta_table,
     table_to_dict,
 )
+import posverify.cli as cli
 from posverify.cli import main
 from posverify.codec import write_json
 from posverify.experiment import (
@@ -311,6 +312,34 @@ class TestSweep:
     def test_bad_span(self, config_path, capsys, span):
         assert main(["sweep", "--config", str(config_path), "--n0", span]) == 1
         assert f"bad span {span!r}, want lo:hi or lo:hi:step" in capsys.readouterr().err
+
+
+class TestMissingDirectory:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["run", "--report"],
+            ["sweep", "--n0", "5:6", "--report"],
+            ["theta", "--out"],
+        ],
+    )
+    def test_fails_before_any_work(self, config_path, tmp_path, capsys, monkeypatch, args):
+        calls = []
+        for name in ("run_experiment", "estimate_theta_table"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **kw: calls.append(_name))
+        target = tmp_path / "no" / "such" / "out.json"
+        assert main([*args[:1], "--config", str(config_path), *args[1:], str(target)]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cannot write {target}: no directory {target.parent}\n"
+
+    def test_a_file_in_the_current_directory_passes_the_check(
+        self, config_path, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["theta", "--config", str(config_path), "--out", "table.json"]) == 0
+        assert load_theta_table(tmp_path / "table.json").n == 8
 
 
 class TestModule:

@@ -266,8 +266,10 @@ class TestWriters:
 
     def test_error_names_the_path(self, tmp_path):
         path = tmp_path / "missing" / "out.json"
-        with pytest.raises(OSError, match="cannot write .*missing/out.json"):
+        with pytest.raises(OSError, match="cannot write .*missing/out.json") as failed:
             write_json(path, [1])
+        # the target, not the temp file it was written through
+        assert str(failed.value) == f"cannot write {path}: No such file or directory"
 
 
 class TestReader:
