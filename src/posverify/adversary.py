@@ -32,25 +32,6 @@ _COMPASS = np.array(
     [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float
 )
 
-# A start that moved along _COMPASS[d] keeps its step, so its next move along
-# _COMPASS[j] lands, up to rounding and clipping, where the walk scored a
-# point the iteration before: _SEEN[d, j] names it, the last move k with
-# _COMPASS[k] == _COMPASS[d] + _COMPASS[j], or _LEFT, the point it left, when
-# _COMPASS[j] == -_COMPASS[d]; -1 where there is none. An axial move meets
-# 4 last moves and the point left, a diagonal one 2 and that point.
-_LEFT = len(_COMPASS)
-
-
-def _seen_table() -> np.ndarray:
-    sums = _COMPASS[:, None, :] + _COMPASS
-    hits = (sums[:, :, None, :] == _COMPASS).all(axis=-1)
-    table = np.where(hits.any(axis=-1), hits.argmax(axis=-1), -1)
-    table[~sums.any(axis=-1)] = _LEFT
-    return table
-
-
-_SEEN = _seen_table()
-
 
 @dataclass(frozen=True)
 class Region:
@@ -160,9 +141,9 @@ _BOUND_SLACK = 1e-9
 # point) pairs lie in it, or of the (receiver, start) pairs a walk can reach
 # at its first step (_reachable). _theta_batch then scores every candidate,
 # as the level bound would keep about those the in-band count keeps, and the
-# search walks with _refine_live; wider bands are bound-pruned and walk in
-# _refine's groups. Measured on preset deploys and calibration chunks (2-CPU
-# x86 host): in-band shares 0.011-0.023 in negligible noise and 0.42-0.64 in
+# search walks with _refine_live; wider bands are bound-pruned and walk with
+# _refine. Measured on preset deploys and calibration chunks (2-CPU x86
+# host): in-band shares 0.011-0.023 in negligible noise and 0.42-0.64 in
 # significant noise; reachable shares 0.08-0.11 and 0.68-0.81. The cut sits
 # between both pairs.
 _THIN_SHARE = 0.3
@@ -241,9 +222,10 @@ class _Scratch:
     ``get`` views a named buffer at the shape and dtype asked for, so a
     search allocates its large temporaries once instead of once a batch.
     The buffers start at ``_SHARES`` bytes for each of ``cells`` (receiver,
-    point) pairs, the pairs of the search's largest batch; one that a
-    request outgrows is replaced by one of the size asked for, and views
-    already taken keep the old one alive. A view holds stale values until
+    point) pairs, the pairs of the search's largest batch, and ``_refine``
+    fits its batches to ``cells``. A buffer that a request outgrows is
+    replaced by one of the size asked for, and views already taken keep
+    the old one alive. A view holds stale values until
     written, and its contents last only until the next ``get`` of its name.
     Stages share a name only between arrays that are never alive at once:
 
@@ -268,6 +250,7 @@ class _Scratch:
     _SHARES = {"d2": 8, "work": 8, "pairs": 8, "inside": 1, "mask": 2}
 
     def __init__(self, cells: int = 0) -> None:
+        self.cells = cells
         self._buffers = {
             name: np.empty(share * cells, dtype=np.uint8) for name, share in self._SHARES.items()
         }
@@ -550,14 +533,14 @@ def _walk(
     -inf where ``ok`` is False; ``moved`` marks the starts that moved last
     iteration, every start before the first.
 
-    A move at exactly the coordinates of a point the walk scored the
-    iteration before (``_SEEN``) takes that point's value and does not
-    reach ``score``. A point's value and feasibility depend only on its
-    coordinates and its faker, so the walk ends as if every move were
-    scored. The point a start left counts only once the start has moved
-    before, as the value it had there came from a scored move; a start's
-    first value is the caller's. Last iteration's points are kept only for
-    the starts that moved.
+    A start that moved compares each new move with its nine points of the
+    iteration before: its eight moves and the point it left. A move at
+    exactly the coordinates of one of them takes that point's value and
+    does not reach ``score``. A point's value and feasibility depend only
+    on its coordinates and its faker, so the walk ends as if every move
+    were scored. The point a start left counts only once the start has
+    moved before, as the value it had there came from a scored move; a
+    start's first value is the caller's.
     """
     pts, vals = pts.copy(), vals.copy()
     rows = np.arange(len(pts))
@@ -565,32 +548,30 @@ def _walk(
     x0 = rx.x0[owner, None]
     moved = np.ones(len(pts), dtype=bool)
     walked = np.zeros(len(pts), dtype=bool)
-    seen = None
+    # the starts that moved last iteration; with none, nothing is compared
+    at = rows[:0]
     for _ in range(config.refine_iters):
         moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
         ok = _feasible(region, x0, config.exclusion_radius, moves)
-        if seen is None:
-            mvals = score(moves, ok, moved, pts, steps)
+        if len(at):
+            match = (moves[at, :, None] == seen_pts[:, None]).all(-1)
+            known = np.zeros(ok.shape, dtype=bool)
+            known[at] = match.any(-1)
+            mvals = score(moves, ok & ~known, moved, pts, steps)
+            prior = np.take_along_axis(seen_vals, match.argmax(-1), axis=1)
+            mvals[at] = np.where(known[at], prior, mvals[at])
         else:
-            at, seen_pts, seen_vals, way = seen
-            pick = _SEEN[way]
-            prior = np.take_along_axis(seen_pts, pick[..., None], axis=1)
-            known = (prior == moves[at]).all(axis=-1)
-            known &= pick >= 0
-            skip = np.zeros(ok.shape, dtype=bool)
-            skip[at] = known
-            mvals = score(moves, ok & ~skip, moved, pts, steps)
-            mvals[at] = np.where(known, np.take_along_axis(seen_vals, pick, axis=1), mvals[at])
+            mvals = score(moves, ok, moved, pts, steps)
         best = _ranked(moves, mvals)[:, 0]
         cand_pts, cand_vals = moves[rows, best], mvals[rows, best]
         moved = cand_vals > vals
-        seen = None
-        if moved.any():
-            at = np.flatnonzero(moved)
+        at = np.flatnonzero(moved)
+        if len(at):
+            # each moving start's nine points, and their values
             seen_pts = np.concatenate([moves[at], pts[at, None]], axis=1)
             # NaN equals no move: a first value is not one the walk scored
-            seen_pts[~walked[at], _LEFT] = np.nan
-            seen = at, seen_pts, np.concatenate([mvals[at], vals[at, None]], axis=1), best[at]
+            seen_pts[~walked[at], -1] = np.nan
+            seen_vals = np.concatenate([mvals[at], vals[at, None]], axis=1)
             walked |= moved
         pts[moved], vals[moved] = cand_pts[moved], cand_vals[moved]
         steps[~moved] /= 2.0
@@ -607,15 +588,24 @@ def _refine(
     owner: np.ndarray,
     scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_walk`` scoring every move against every receiver. All starts'
-    moves are scored in one batch; since ``_theta_batch`` sums each point
-    in one order, each start walks exactly as it would alone.
+    """``_walk`` scoring every move against every receiver. An iteration's
+    moves are scored in batches of at most ``scratch.cells // receivers``
+    points, all in one when ``scratch`` was made without a size; since
+    ``_theta_batch`` sums each point in one order, each start walks exactly
+    as it would alone.
     """
-    move_owner = np.broadcast_to(owner[:, None], (len(pts), len(_COMPASS)))
+    scratch = _Scratch() if scratch is None else scratch
+    move_owner = np.repeat(owner, len(_COMPASS))
 
     def score(moves, ok, *_):
         mvals = np.full(ok.shape, -np.inf)
-        mvals[ok] = _theta_batch(params, rx, moves[ok], move_owner[ok], scratch=scratch)
+        at = np.flatnonzero(ok)
+        # an unsized scratch takes every move in one batch
+        width = max(1, scratch.cells // rx.r.shape[0] or len(at))
+        for lo in range(0, len(at), width):
+            part = at[lo : lo + width]
+            batch = moves.reshape(-1, 2)[part]
+            mvals.flat[part] = _theta_batch(params, rx, batch, move_owner[part], scratch=scratch)
         return mvals
 
     return _walk(region, rx, config, pts, vals, owner, score)
@@ -741,8 +731,8 @@ def optimize_fake_positions(
     refinements walk in lockstep in one batch tested only against the
     receivers a move can reach (``_refine_live``). In a wider band only the
     candidates whose upper bound can rank them among the top few are scored
-    (``_theta_batch``), and the refinements walk in groups whose batches
-    hold no more points than the smallest candidate set (``_refine``). Both
+    (``_theta_batch``), and all refinements walk in lockstep in batches that
+    hold no more points than the largest candidate set (``_refine``). Both
     walks end byte-equal, and each faker gets exactly the outcome it would
     get searched alone.
 
@@ -799,11 +789,10 @@ def _search(
     if not geometry:
         return []
 
-    sizes = [np.count_nonzero(on_grid) + len(extra) for on_grid, extra in geometry]
-    # the largest candidate batch is the search's largest: refinement groups
-    # hold no more points than the smallest
-    if scratch is None:
-        scratch = _Scratch(rx.r.shape[0] * max(sizes))
+    # the largest candidate batch is the search's largest: refinement
+    # batches hold no more points
+    most = max(np.count_nonzero(on_grid) + len(extra) for on_grid, extra in geometry)
+    scratch = _Scratch(rx.r.shape[0] * most) if scratch is None else scratch
     starts = []
     for f, (on_grid, extra) in enumerate(geometry):
         cands = np.concatenate([grid[on_grid], extra])
@@ -816,15 +805,8 @@ def _search(
 
     pts, vals, owner = (np.concatenate(part) for part in zip(*starts))
     first = np.full(len(pts), config.grid_step / 2.0)
-    if _reachable(rx, pts, owner, first).mean() <= _THIN_SHARE:
-        pts, vals = _refine_live(params, region, rx, config, pts, vals, owner, scratch)
-    else:
-        group = max(1, min(sizes) // len(_COMPASS))
-        for lo in range(0, len(pts), group):
-            part = slice(lo, lo + group)
-            pts[part], vals[part] = _refine(
-                params, region, rx, config, pts[part], vals[part], owner[part], scratch
-            )
+    walk = _refine_live if _reachable(rx, pts, owner, first).mean() <= _THIN_SHARE else _refine
+    pts, vals = walk(params, region, rx, config, pts, vals, owner, scratch)
     # a walk moves only to a strictly better point, so a faker's first
     # refined start by rank is at least as good as its best candidate
     order = _ranked(pts, vals, owner)

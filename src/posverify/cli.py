@@ -22,12 +22,14 @@ from .experiment import (
 
 def _require_directory(path) -> None:
     """Fail before any calibration or trial when ``path``, a file to write,
-    names a directory that does not exist."""
+    names a directory that does not exist, or is itself a directory."""
     if path is None:
         return
     directory = Path(path).parent
     if not directory.is_dir():
         raise OSError(f"cannot write {path}: no directory {directory}")
+    if Path(path).is_dir():
+        raise OSError(f"cannot write {path}: is a directory")
 
 
 def _cmd_theta(args) -> int:

@@ -916,6 +916,39 @@ def reference_walk(params, region, rx, cfg, pts, vals, owner):
     return pts, vals, scored
 
 
+def recorded_scores(monkeypatch):
+    """Copies of (moves, ok, moved, pts) for each call that a walk makes to
+    its ``score`` from here on, a list per walk."""
+    walks = []
+    inner = adversary._walk
+
+    def recording_walk(region, rx, config, pts, vals, owner, score):
+        calls = []
+        walks.append(calls)
+
+        def recorded(moves, ok, moved, pts, steps):
+            calls.append((moves.copy(), ok.copy(), moved.copy(), pts.copy()))
+            return score(moves, ok, moved, pts, steps)
+
+        return inner(region, rx, config, pts, vals, owner, recorded)
+
+    monkeypatch.setattr(adversary, "_walk", recording_walk)
+    return walks
+
+
+def assert_no_move_scored_again(calls):
+    """No move sent to a start that moved equals one of that start's points
+    of the iteration before: its 8 moves, and the point it left once it had
+    moved before, as a start's first value is the caller's."""
+    walked = None
+    for (last, _, _, left), (moves, ok, moved, _) in zip(calls, calls[1:]):
+        walked = np.zeros_like(moved) if walked is None else walked
+        seen = np.concatenate([last, np.where(walked[:, None], left, np.nan)[:, None]], axis=1)
+        again = (moves[:, :, None] == seen[:, None]).all(axis=-1).any(axis=-1)
+        assert not (again & ok & moved[:, None]).any()
+        walked |= moved
+
+
 class TestRefineWalks:
     @given(walk_instances())
     def test_live_walk_equals_dense_walk(self, instance):
@@ -970,6 +1003,39 @@ class TestRefineWalks:
         else:
             assert sent < 0.9 * made
 
+    def test_no_move_is_scored_again(self, monkeypatch):
+        walks = recorded_scores(monkeypatch)
+
+        @given(walk_instances())
+        def check(instance):
+            params, rx, cfg, starts, vals, owner = instance
+            for walk in (_refine, _refine_live):
+                walks.clear()
+                walk(params, REGION, rx, cfg, starts, vals, owner)
+                assert_no_move_scored_again(*walks)
+
+        check()
+
+    @pytest.mark.parametrize("walk", [_refine, _refine_live])
+    def test_a_clipped_move_is_not_scored_again(self, walk, monkeypatch):
+        # a start of node 56 in sig-noise-q-55's seed-0 deploy, on the
+        # region's top edge. Its first iteration scores its move (0, 1),
+        # clipped back onto the start. It then moves along (0, -1), so its
+        # next move (0, 1) lands on the start: a point the walk scored, as
+        # a move, though the start's own value is the caller's
+        cfg = PRESETS["sig-noise-q-55"]
+        params = cfg.resolved_signal()
+        nodes = deploy(cfg, 0)
+        genuine = np.array([n.true_position for n in nodes[: cfg.n0]])
+        rx = _receivers(params, nodes[56].true_position, genuine)
+        start = np.array([(61.904761904761905, 100.0)])
+        vals, owner = _theta_batch(params, rx, start, 0), np.zeros(1, dtype=int)
+        walks = recorded_scores(monkeypatch)
+        got = walk(params, cfg.region, rx, cfg.faking, start, vals, owner)
+        assert_no_move_scored_again(*walks)
+        want = reference_walk(params, cfg.region, rx, cfg.faking, start, vals, owner)[:2]
+        assert_same_bytes(got, want)
+
     @pytest.mark.parametrize("walk", [_refine, _refine_live])
     def test_walk_reaches_bands_beyond_its_first_reach(self, walk):
         # bands micrometres wide. From (50, 50), step 4, the move (54, 50)
@@ -999,11 +1065,25 @@ class TestRefineWalks:
         # about 9% of (receiver, start) pairs reachable at the first step;
         # significant noise about 50% and 72%
         calls = recorded_calls(monkeypatch, "_bounds", "_refine", "_refine_live")
+        # each _theta_batch call of the dense walk: its points, and the most
+        # its scratch is sized for
+        batches = []
+        inner = adversary._theta_batch
+
+        def recorded(params, rx, points, owner, top=None, scratch=None):
+            if "_refine" in calls:
+                batches.append((len(points), scratch.cells // rx.r.shape[0]))
+            return inner(params, rx, points, owner, top, scratch)
+
+        monkeypatch.setattr(adversary, "_theta_batch", recorded)
         deploy(PRESETS[name], 0)
         walks = [c for c in calls if c != "_bounds"]
-        # the live walk takes every start in one batch, the dense one in groups
+        # either walk takes every start in one call
         assert set(walks) == {walk}
-        assert len(walks) == 1 if walk == "_refine_live" else len(walks) > 1
+        assert len(walks) == 1
+        # the dense walk's batches fit the search's scratch
+        assert bool(batches) == (walk == "_refine")
+        assert all(points <= most for points, most in batches)
         # thin candidate batches are scored exactly, wide ones bound-pruned
         assert ("_bounds" in calls) == (walk == "_refine")
 

@@ -314,25 +314,39 @@ class TestSweep:
         assert f"bad span {span!r}, want lo:hi or lo:hi:step" in capsys.readouterr().err
 
 
+OUTPUT_FLAGS = [
+    ["run", "--report"],
+    ["sweep", "--n0", "5:6", "--report"],
+    ["theta", "--out"],
+]
+
+
 class TestMissingDirectory:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["run", "--report"],
-            ["sweep", "--n0", "5:6", "--report"],
-            ["theta", "--out"],
-        ],
-    )
-    def test_fails_before_any_work(self, config_path, tmp_path, capsys, monkeypatch, args):
+    @staticmethod
+    def error_before_any_work(config_path, capsys, monkeypatch, args, target):
+        """What ``args`` writing to ``target`` prints to stderr, having run
+        no experiment or calibration and printed nothing else."""
         calls = []
         for name in ("run_experiment", "estimate_theta_table"):
             monkeypatch.setattr(cli, name, lambda *a, _name=name, **kw: calls.append(_name))
-        target = tmp_path / "no" / "such" / "out.json"
         assert main([*args[:1], "--config", str(config_path), *args[1:], str(target)]) == 1
         assert calls == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: cannot write {target}: no directory {target.parent}\n"
+        return captured.err
+
+    @pytest.mark.parametrize("args", OUTPUT_FLAGS)
+    def test_fails_before_any_work(self, config_path, tmp_path, capsys, monkeypatch, args):
+        target = tmp_path / "no" / "such" / "out.json"
+        err = self.error_before_any_work(config_path, capsys, monkeypatch, args, target)
+        assert err == f"error: cannot write {target}: no directory {target.parent}\n"
+
+    @pytest.mark.parametrize("args", OUTPUT_FLAGS)
+    def test_a_directory_as_output_fails_before_any_work(
+        self, config_path, tmp_path, capsys, monkeypatch, args
+    ):
+        err = self.error_before_any_work(config_path, capsys, monkeypatch, args, tmp_path)
+        assert err == f"error: cannot write {tmp_path}: is a directory\n"
 
     def test_a_file_in_the_current_directory_passes_the_check(
         self, config_path, tmp_path, monkeypatch
