@@ -190,14 +190,8 @@ def _power_bounds(params: SignalParams, claimed):
     exactly on the nose instead of an ulp off after a pow round trip.
     Bounds are nan where the claim is nonpositive.
     """
-    m = params.path_loss_exponent
     c = np.asarray(claimed, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ideal_c = np.where(
-            c > 0,
-            params.transmit_power * (params.alpha / np.where(c > 0, c, 1.0)) ** m,
-            np.nan,
-        )
+    ideal_c = np.where(c > 0, ideal_received_power(params, np.where(c > 0, c, 1.0)), np.nan)
     slack = SIGMA_BAND * params.noise_sigma
     return ideal_c - slack, ideal_c + slack
 
@@ -224,8 +218,7 @@ def deception_probability(
     """
     if true_distance <= 0 or claimed_distance <= 0:
         raise ValueError("distances must be positive")
-    out = _deception_prob_arrays(params, true_distance, claimed_distance)
-    return float(out)
+    return float(_deception_prob_arrays(params, true_distance, claimed_distance))
 
 
 def _deception_prob_arrays(params: SignalParams, true_distance, claimed_distance, out=None):
@@ -237,38 +230,21 @@ def _deception_prob_arrays(params: SignalParams, true_distance, claimed_distance
     With ``out``, a float array, both distances must be float arrays of its
     shape: the probabilities go to ``out``, and the distances serve as work
     space and are overwritten, so the call allocates no array of that
-    shape. For arrays with at least one axis the values are bit-identical
-    to those without ``out``: the same operations, element for element (see
-    ``_deception_prob_into``).
+    shape. Without it, the call works on broadcast copies of the distances
+    and a fresh ``out``, and leaves its arguments as they were. Both modes
+    run the same operations, element for element, so their values are
+    bit-identical. Array operators keep the fast paths numpy takes for them
+    (``**`` squares when the exponent is 2).
     """
-    if out is not None:
-        return _deception_prob_into(params, true_distance, claimed_distance, out)
-    t = np.asarray(true_distance, dtype=float)
-    c = np.asarray(claimed_distance, dtype=float)
+    t, c = true_distance, claimed_distance
+    if out is None:
+        t, c = (np.array(a, dtype=float) for a in np.broadcast_arrays(t, c))
+        out = np.empty_like(c)
     if params.noise_sigma == 0.0:
         # Noiseless channel: the estimate equals the true distance exactly
         # and the acceptance interval collapses to the claim itself.
-        return (t == c).astype(float)
-    m = params.path_loss_exponent
-    lo, hi = _power_bounds(params, c)
-    lo = np.maximum(lo, 0.0)  # readings must stay positive to be estimable
-    ideal_true = params.transmit_power * (params.alpha / t) ** m
-    probs = ndtr((hi - ideal_true) / params.noise_sigma) - ndtr(
-        (lo - ideal_true) / params.noise_sigma
-    )
-    return np.where(c > 0, probs, 0.0)  # the bounds are nan at c <= 0
-
-
-def _deception_prob_into(params: SignalParams, t: np.ndarray, c: np.ndarray, out: np.ndarray):
-    """``_deception_prob_arrays`` in place: ``t`` and ``c`` are overwritten.
-
-    Array operators keep the fast paths numpy takes for them (``**`` squares
-    when the exponent is 2), so each element sees the operations it sees in
-    ``_deception_prob_arrays``. A claim at c <= 0 is given c = 1 until its
-    probability is set to 0.0, where the other path carries nan.
-    """
-    if params.noise_sigma == 0.0:
         return np.equal(t, c, out=out)
+    # a claim at c <= 0 is given c = 1 until its probability is set to 0.0
     bad = None if c.min(initial=np.inf) > 0 else ~(c > 0)
     if bad is not None:
         c[bad] = 1.0

@@ -710,8 +710,11 @@ class TestKernelMemory:
 
     def test_live_walk_peaks_below_a_dense_group(self):
         # a negligible-noise deploy's refinement: 48 fakers x 5 starts against
-        # one 52-receiver set, all in one live batch, against one dense group
-        # of (smallest candidate set // 8) of the same starts
+        # one 52-receiver set, all in one live batch. First against a fixed
+        # yardstick, the dense walk over (smallest candidate set // 8) of the
+        # same starts, a group size _search no longer uses; then against the
+        # dense walk as _search runs it: all starts in one call, with a
+        # scratch sized for the largest candidate batch
         cfg = PRESETS["neg-noise-52"]
         params = cfg.resolved_signal()
         rng = np.random.default_rng(52)
@@ -736,6 +739,12 @@ class TestKernelMemory:
             )
         )
         assert live <= dense
+        searched = peak_bytes(
+            lambda: _refine(
+                params, REGION, rx, cfg.faking, pts, vals, owner, _Scratch(52 * max(sizes))
+            )
+        )
+        assert live <= searched
 
     def test_second_candidate_batch_allocates_no_dense_array(self):
         # a calibration cell's shape: 100 receivers, about 2.4k candidates. The

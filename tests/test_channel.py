@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+import posverify
 from posverify.channel import (
     SIGMA_BAND,
     TRUTHFUL_ACCEPT_PROB,
@@ -241,3 +247,98 @@ def test_simulate_approval_rate_equals_literal_loop():
     powers = ideal_received_power(p, 50.0) + rng.normal(0, p.noise_sigma, size=draws)
     count = sum(link_verdict(p, 52.0, float(r)) is Verdict.APPROVE for r in powers)
     assert rate == count / draws
+
+
+def kernel_params(sigma_at, m):
+    """Noise whose 3 sigma is the ideal power at ``sigma_at`` metres, or a
+    noiseless channel at None."""
+    p = default_params(m=m)
+    return p if sigma_at is None else replace(p, noise_sigma=ideal_received_power(p, sigma_at) / 3)
+
+
+def kernel_inputs(kind):
+    """Distances of one shape class; every claim set holds a zero claim."""
+    rng = np.random.default_rng(31)
+    if kind == "0-d":
+        return np.array(40.0), np.array(0.0)
+    if kind == "1-D":
+        t, c = rng.uniform(1.0, 120.0, (2, 9))
+    else:  # one true distance per receiver against many claims
+        t, c = rng.uniform(1.0, 120.0, (6, 1)), rng.uniform(1.0, 120.0, (6, 9))
+    c[2] = 0.0
+    return t, c
+
+
+class TestKernelModes:
+    @pytest.mark.parametrize("kind", ["0-d", "1-D", "broadcast"])
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    @pytest.mark.parametrize("sigma_at", [None, 60.0])
+    def test_without_out_leaves_its_inputs_unchanged(self, kind, m, sigma_at):
+        t, c = kernel_inputs(kind)
+        before = t.copy(), c.copy()
+        _deception_prob_arrays(kernel_params(sigma_at, m), t, c)
+        assert t.tobytes() == before[0].tobytes()
+        assert c.tobytes() == before[1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["0-d", "1-D", "broadcast"])
+    @pytest.mark.parametrize("m", [2.0, 3.0])
+    @pytest.mark.parametrize("sigma_at", [None, 60.0])
+    def test_without_out_equals_out_on_copies(self, kind, m, sigma_at):
+        p = kernel_params(sigma_at, m)
+        t, c = kernel_inputs(kind)
+        got = _deception_prob_arrays(p, t, c)
+        tb, cb = (np.array(a) for a in np.broadcast_arrays(t, c))
+        want = _deception_prob_arrays(p, tb, cb, out=np.empty_like(cb))
+        assert got.shape == want.shape == np.broadcast_shapes(t.shape, c.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2.0, 2.5, 3.0, 4.0])
+    def test_scalar_equals_one_element_array(self, m):
+        p = kernel_params(60.0, m)
+        rng = np.random.default_rng(int(m * 10))
+        for t, c in rng.uniform(1.0, 120.0, (200, 2)).tolist():
+            scalar = deception_probability(p, t, c)
+            array = float(_deception_prob_arrays(p, np.array([t]), np.array([c]))[0])
+            assert scalar.hex() == array.hex()
+
+
+# Returns, as hex, the bytes of a seeded _theta_batch (4 fakers, 55 receivers,
+# 2000 points) and of the channel kernel on fixed arrays, in significant noise.
+_SIMD_PROBE = """
+import numpy as np
+from dataclasses import replace
+from posverify.adversary import Region, _receivers, _theta_batch
+from posverify.channel import SignalParams, _deception_prob_arrays, ideal_received_power
+
+def probe(m=2.0):
+    region = Region(0.0, 100.0, 0.0, 100.0)
+    params = SignalParams(transmit_power=1.0, wavelength=0.125, path_loss_exponent=m)
+    params = replace(params, noise_sigma=ideal_received_power(params, region.diagonal) / 3)
+    rng = np.random.default_rng(2055)
+    rx = _receivers(params, region.sample(rng, 4), region.sample(rng, 55))
+    theta = _theta_batch(params, rx, region.sample(rng, 2000), np.arange(2000) % 4)
+    t, c = rng.uniform(1.0, 140.0, (2, 64, 64))
+    return theta.tobytes().hex() + " " + _deception_prob_arrays(params, t, c).tobytes().hex()
+"""
+
+
+def test_exponent_2_does_not_depend_on_simd_dispatch():
+    # The child runs numpy with its AVX2 and AVX-512 kernels disabled; on
+    # x86 it then falls back to its X86_V2 baseline. Exponent 2 squares, a
+    # correctly rounded multiply on every kernel; other exponents go through
+    # numpy's power kernels, whose last bits differ between AVX-512 and the
+    # baseline. On a host without these features, or not x86, numpy runs the
+    # same kernels on both sides and the test compares a run with itself.
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+    src = str(Path(posverify.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", _SIMD_PROBE + "print(probe())"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    scope = {}
+    exec(_SIMD_PROBE, scope)
+    assert child.stdout.strip() == scope["probe"]()
