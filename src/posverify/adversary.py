@@ -19,7 +19,7 @@ from .channel import (
     SIGMA_BAND,
     SignalParams,
     _deception_prob_arrays,
-    ideal_received_power,
+    _distance_window,
     require_finite,
 )
 
@@ -194,21 +194,11 @@ def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Rece
     r = np.hypot(coords[0] - x0[:, 0], coords[1] - x0[:, 1])
     if np.any(r <= 0):
         raise ValueError("a genuine node coincides with the faker's true position")
-    # claimed distance c has ideal power ideal(r) * (r/c)**m, so the power
-    # band [ideal(r) - below*sigma, ideal(r) + above*sigma] maps to
-    # [r * (1 + above*q)**(-1/m), r * (1 - below*q)**(-1/m)], q = sigma/ideal(r)
-    m = params.path_loss_exponent
-    with np.errstate(over="ignore", divide="ignore"):  # an edge may go to 0 or inf
-        q = params.noise_sigma / ideal_received_power(params, r)
 
     def squared_edges(above, below):
         # widened by _BAND_SLACK, so rounding never moves a pair inward
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            near = r * (1.0 + above * q) ** (-1.0 / m) * (1.0 - _BAND_SLACK)
-            far = np.where(
-                below * q < 1.0, r * (1.0 - below * q) ** (-1.0 / m) * (1.0 + _BAND_SLACK), np.inf
-            )
-        return near * near, far * far
+        near, far = _distance_window(params, r, above, below)
+        return np.square(near * (1.0 - _BAND_SLACK)), np.square(far * (1.0 + _BAND_SLACK))
 
     levels = _LEVELS[:, None, None]
     return _Receivers(

@@ -106,7 +106,7 @@ def ideal_received_power(params: SignalParams, distance):
     scalar or an ndarray of positive distances.
     """
     d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
+    if np.any(~(d > 0)):
         raise ValueError("distance must be positive")
     out = params.transmit_power * (params.alpha / d) ** params.path_loss_exponent
     return float(out) if np.isscalar(distance) or d.ndim == 0 else out
@@ -130,21 +130,24 @@ def estimate_distance(params: SignalParams, received_power: float) -> float | No
     A nonpositive reading carries no distance information (the power law
     only produces positive powers), so the estimate is undefined.
     """
-    if received_power <= 0:
+    if not received_power > 0:
         return None
     ratio = params.transmit_power / received_power
     return params.alpha * ratio ** (1.0 / params.path_loss_exponent)
 
 
-def _band_ratio(params: SignalParams, claimed):
-    # 3*sigma as a fraction of the ideal power at the claimed distance.
+def _distance_window(params: SignalParams, distance, above, below):
+    """``(near, far)``: the distances whose ideal power lies from ``below``
+    noise sigmas under to ``above`` over the ideal power at ``distance``;
+    ``far`` is inf where that window reaches zero power. Broadcasts."""
+    # distance c has ideal power ideal(d) * (d/c)**m; q = sigma / ideal(d)
+    d = np.asarray(distance, dtype=float)
     m = params.path_loss_exponent
-    return (
-        SIGMA_BAND
-        * params.noise_sigma
-        * np.asarray(claimed, dtype=float) ** m
-        / (params.alpha**m * params.transmit_power)
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # ends may go to 0 or inf
+        q = np.divide(params.noise_sigma, ideal_received_power(params, d))
+        near = d * (1.0 + above * q) ** (-1.0 / m)
+        far = np.where(below * q < 1.0, d * (1.0 - below * q) ** (-1.0 / m), np.inf)
+    return near, far
 
 
 def acceptance_interval(params: SignalParams, claimed_distance: float) -> AcceptanceInterval:
@@ -155,15 +158,10 @@ def acceptance_interval(params: SignalParams, claimed_distance: float) -> Accept
     ideal power the interval is unbounded above: any positive estimate
     far out is still explainable by noise.
     """
-    if claimed_distance <= 0:
+    if not claimed_distance > 0:
         raise ValueError(f"claimed_distance must be positive, got {claimed_distance}")
-    m = params.path_loss_exponent
-    band = float(_band_ratio(params, claimed_distance))
-    lower = claimed_distance * (1.0 + band) ** (-1.0 / m)
-    if band >= 1.0:
-        return AcceptanceInterval(lower, math.inf)
-    upper = claimed_distance * (1.0 - band) ** (-1.0 / m)
-    return AcceptanceInterval(lower, upper)
+    lower, upper = _distance_window(params, claimed_distance, SIGMA_BAND, SIGMA_BAND)
+    return AcceptanceInterval(float(lower), float(upper))
 
 
 def link_verdict(params: SignalParams, claimed_distance: float, received_power: float) -> Verdict:
@@ -174,7 +172,7 @@ def link_verdict(params: SignalParams, claimed_distance: float, received_power: 
     (see ``_power_bounds``). Degenerate readings are accusations: a node
     whose signal cannot be ranged has no business passing a position check.
     """
-    if claimed_distance <= 0:
+    if not claimed_distance > 0:
         raise ValueError(f"claimed_distance must be positive, got {claimed_distance}")
     approve = bool(_approve_mask(params, claimed_distance, received_power))
     return Verdict.APPROVE if approve else Verdict.ACCUSE
@@ -216,7 +214,7 @@ def deception_probability(
     result is the Gaussian mass of that interval. With a truthful claim and
     a finite acceptance interval this is exactly 2*Phi(3) - 1.
     """
-    if true_distance <= 0 or claimed_distance <= 0:
+    if not (true_distance > 0 and claimed_distance > 0):
         raise ValueError("distances must be positive")
     return float(_deception_prob_arrays(params, true_distance, claimed_distance))
 
@@ -289,6 +287,5 @@ def simulate_approval_rate(
     """
     if draws <= 0:
         raise ValueError(f"draws must be positive, got {draws}")
-    ideal = ideal_received_power(params, true_distance)
-    powers = ideal + rng.normal(0.0, params.noise_sigma, size=draws)
+    powers = noisy_received_power(params, np.full(draws, float(true_distance)), rng)
     return float(_approve_mask(params, claimed_distance, powers).mean())

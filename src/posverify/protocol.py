@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .calibration import ThetaTable, threshold
-from .channel import SignalParams, _approve_mask, ideal_received_power
+from .channel import SignalParams, _approve_mask, noisy_received_power
 
 
 class NodeKind(Enum):
@@ -98,12 +98,10 @@ def accuse_approve(nodes: list[Node], params: SignalParams, seed: int) -> Accusa
         truths[:, 1][:, None] - claims[:, 1][None, :],
     )
 
-    rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, params.noise_sigma, size=(n, n))
+    # the diagonal reads at 1 m; fill_diagonal below overwrites its verdicts
     with np.errstate(divide="ignore", over="ignore"):
-        powers = np.where(
-            off_diag, ideal_received_power(params, np.where(off_diag, true_d, 1.0)), np.inf
-        ) + noise
+        at = np.where(off_diag, true_d, 1.0)
+        powers = noisy_received_power(params, at, np.random.default_rng(seed))
 
     accuses = ~_approve_mask(params, claimed_d, powers)
     # malicious receivers ignore their readings entirely

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 import posverify.adversary as adversary
@@ -38,6 +39,7 @@ from posverify.adversary import (
     theta_for_fake,
 )
 from posverify.channel import (
+    SIGMA_BAND,
     TRUTHFUL_ACCEPT_PROB,
     SignalParams,
     _deception_prob_arrays,
@@ -485,6 +487,33 @@ class TestBounds:
         assert not inside.any()
         bound = _bounds(rx, d2, inside, 0)
         assert np.all(bound > 0.0) and np.all(bound < 1e-6)
+
+
+class TestZeroBand:
+    """A claim outside a receiver's widened band (``near2``, ``far2``)
+    deceives it with probability exactly 0.0; the search skips such pairs.
+    That rests on where scipy's normal tails reach exactly 0.0 and 1.0."""
+
+    def test_scipy_tails_reach_zero_and_one(self):
+        assert ndtr(-38.5) == 0.0 and ndtr(8.3) == 1.0
+        # each band edge: the tail, the 3-sigma window, and 6.5 sigmas spare
+        assert adversary._BAND_BELOW == 38.5 + SIGMA_BAND + 6.5
+        assert adversary._BAND_ABOVE == 8.3 + SIGMA_BAND + 6.5
+
+    @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-62"])
+    @pytest.mark.parametrize("m", [2.0, 3.0, 4.0])
+    def test_claims_on_the_widened_edges_score_zero(self, name, m):
+        cfg = PRESETS[name]
+        cfg = replace(cfg, signal=replace(cfg.signal, path_loss_exponent=m))
+        params = cfg.resolved_signal()
+        nodes = deploy(cfg, 0)
+        genuine = [nd.true_position for nd in nodes[: cfg.n0]]
+        rx = _receivers(params, [nd.true_position for nd in nodes[cfg.n0 :]], genuine)
+        edges = np.stack([rx.near2, rx.far2])
+        finite = np.isfinite(edges)
+        assert finite.sum() > len(genuine)
+        r = np.broadcast_to(rx.r, edges.shape)[finite]
+        assert np.count_nonzero(_deception_prob_arrays(params, r, np.sqrt(edges[finite]))) == 0
 
 
 def exhaustive_top(params, rx, pts, owner, k=REFINE_STARTS):

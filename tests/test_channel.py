@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import posverify
@@ -78,6 +80,12 @@ class TestIdealPower:
         with pytest.raises(ValueError):
             ideal_received_power(default_params(), -3.0)
 
+    def test_rejects_nan_distance(self):
+        with pytest.raises(ValueError, match="distance must be positive"):
+            ideal_received_power(default_params(), math.nan)
+        with pytest.raises(ValueError, match="distance must be positive"):
+            ideal_received_power(default_params(), np.array([3.0, math.nan]))
+
     def test_estimate_inverts_ideal(self):
         p = default_params(m=2.7)
         for d in (0.3, 1.0, 17.2, 140.0):
@@ -90,6 +98,9 @@ class TestEstimate:
         p = default_params(sigma=1e-9)
         assert estimate_distance(p, 0.0) is None
         assert estimate_distance(p, -1e-12) is None
+
+    def test_nan_power_not_estimable(self):
+        assert estimate_distance(default_params(sigma=1e-9), math.nan) is None
 
     def test_noisy_power_can_go_negative(self):
         p = default_params(sigma=1.0)  # noise dwarfs the signal at range
@@ -139,6 +150,10 @@ class TestAcceptanceInterval:
         with pytest.raises(ValueError):
             acceptance_interval(default_params(), 0.0)
 
+    def test_rejects_nan_claim_by_name(self):
+        with pytest.raises(ValueError, match="claimed_distance must be positive, got nan"):
+            acceptance_interval(default_params(sigma=1e-10), math.nan)
+
 
 class TestLinkVerdict:
     def test_total_in_received_power(self):
@@ -156,6 +171,40 @@ class TestLinkVerdict:
 
     def test_nonestimable_accuses(self):
         assert link_verdict(default_params(sigma=1e-9), 10.0, -1e-12) is Verdict.ACCUSE
+
+    def test_rejects_nan_claim(self):
+        p = default_params(sigma=1e-10)
+        with pytest.raises(ValueError, match="claimed_distance must be positive, got nan"):
+            link_verdict(p, math.nan, ideal_received_power(p, 25.0))
+
+
+@st.composite
+def window_readings(draw):
+    """A channel, a claim and a reading near an end of the claim's power
+    window [ideal - 3 sigma, ideal + 3 sigma]; 3 sigma runs from a
+    negligible share of the ideal power to past it, where the window
+    reaches zero power."""
+    m = draw(st.floats(2.0, 4.0))
+    claim = draw(st.floats(0.5, 150.0))
+    ideal = ideal_received_power(default_params(m=m), claim)
+    p = default_params(sigma=ideal * 10 ** draw(st.floats(-10.0, 0.5)) / SIGMA_BAND, m=m)
+    lo, hi = ideal - SIGMA_BAND * p.noise_sigma, ideal + SIGMA_BAND * p.noise_sigma
+    # either side of an end, off it by 10**-11.5 to half of the upper end
+    off = 10 ** draw(st.floats(-11.5, -0.3)) * draw(st.sampled_from([-1.0, 1.0]))
+    return p, claim, draw(st.sampled_from([lo, hi])) + off * hi, lo, hi
+
+
+@settings(max_examples=300)  # enough to fail when either end's 3 sigma is off by 0.1%
+@given(window_readings())
+def test_distance_and_power_windows_agree(case):
+    # link_verdict tests the reading against the power window (_power_bounds),
+    # acceptance_interval maps that window to distances; ends agree to rounding
+    p, claim, reading, lo, hi = case
+    if min(abs(reading - lo), abs(reading - hi)) <= 1e-12 * hi:
+        return
+    est = estimate_distance(p, reading)
+    in_window = est is not None and acceptance_interval(p, claim).contains(est)
+    assert (link_verdict(p, claim, reading) is Verdict.APPROVE) == in_window
 
 
 @pytest.mark.parametrize("d,sigma", TRUTHFUL_CASES)
@@ -188,6 +237,13 @@ class TestDeceptionProbability:
             deception_probability(p, 0.0, 5.0)
         with pytest.raises(ValueError):
             deception_probability(p, 5.0, -1.0)
+
+    def test_rejects_nan_distances(self):
+        p = default_params(sigma=1e-10)
+        with pytest.raises(ValueError, match="distances must be positive"):
+            deception_probability(p, math.nan, 5.0)
+        with pytest.raises(ValueError, match="distances must be positive"):
+            deception_probability(p, 5.0, math.nan)
 
     def test_unbounded_interval_branch_integrates_to_positive_power_event(self):
         # claim far enough that the interval upper bound is infinite: the
