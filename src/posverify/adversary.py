@@ -212,8 +212,9 @@ class _Scratch:
     ``get`` views a named buffer at the shape and dtype asked for, so a
     search allocates its large temporaries once instead of once a batch.
     The buffers start at ``_SHARES`` bytes for each of ``cells`` (receiver,
-    point) pairs, the pairs of the search's largest batch, and ``_refine``
-    fits its batches to ``cells``. A buffer that a request outgrows is
+    point) pairs, the pairs of the search's largest batch, and both walks
+    fit their batches to ``cells``, so no search grows a buffer. A buffer
+    that a request outgrows, as on a scratch made without a size, is
     replaced by one of the size asked for, and views already taken keep
     the old one alive. A view holds stale values until
     written, and its contents last only until the next ``get`` of its name.
@@ -221,19 +222,14 @@ class _Scratch:
 
     - "d2": a batch's squared distances (receivers, points), then its pair
       bounds; then per pair its column, y offset and true distance, and the
-      score matrix. In ``_refine_live``, the squared distances and squared
-      y distances of each (live pair, move).
+      score matrix.
     - "work": gathered receiver coordinates and band edges, and the squared
       y distances; then the level edges, and the level indices; then per
-      pair the claims' coordinates and the channel's output. In
-      ``_refine_live``, the far-edge and feasibility tests of each (live
-      pair, move).
+      pair the claims' coordinates and the channel's output.
     - "pairs": per pair the claimed distance.
     - "inside" and "mask": in-band masks; "mask" also holds the level
       counts of ``_pair_bounds``, and the columns ``_score_columns`` copies
-      for ``_scores``. In ``_refine_live``, "mask" holds the band test of
-      each (live pair, move), and "inside" the (receivers, moves) mask whose
-      columns are scored.
+      for ``_scores``.
     """
 
     # bytes per cell: the float arrays above, the masks, and two level counts
@@ -638,8 +634,8 @@ def _refine_live(
     scratch: _Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_walk`` testing each start only against the receivers its moves
-    can reach (``_reachable``), so its memory follows the live pairs and
-    every start walks in one batch.
+    can reach (``_reachable``). The moves with an in-band pair are scored
+    in batches of ``_refine``'s size.
 
     Each live (receiver, start) pair carries its receiver's coordinates and
     band edges. The pairs of every start are re-found whenever a start has
@@ -664,31 +660,16 @@ def _refine_live(
         # live pairs: start, receiver, and the receiver's x, y and band edges
         start, rcv, gx, gy, near2, far2 = live
         # _in_band's d2 and test on each (live pair, move)
-        shape = (len(start), len(_COMPASS))
-        d2, dy2 = scratch.get("d2", (2, *shape))
-        np.take(moves[..., 0], start, axis=0, out=d2, mode="clip")
-        np.subtract(gx[:, None], d2, out=d2)
-        d2 *= d2
-        np.take(moves[..., 1], start, axis=0, out=dy2, mode="clip")
-        np.subtract(gy[:, None], dy2, out=dy2)
-        dy2 *= dy2
-        d2 += dy2
-        inside = np.greater_equal(d2, near2[:, None], out=scratch.get("mask", shape, bool))
-        test = scratch.get("work", shape, bool)
-        inside &= np.less_equal(d2, far2[:, None], out=test)
-        inside &= np.take(ok, start, axis=0, out=test, mode="clip")
-        # the (receivers, moves) mask, in "inside", which _score_columns spares
-        full = scratch.get("inside", (n_rx, *ok.shape), bool)
-        full.fill(False)
+        d2 = np.square(gx[:, None] - moves[start, :, 0])
+        d2 += np.square(gy[:, None] - moves[start, :, 1])
+        inside = (d2 >= near2[:, None]) & (d2 <= far2[:, None]) & ok[start]
+        full = np.zeros((n_rx, *ok.shape), dtype=bool)
         full[rcv, start] = inside
         full = full.reshape(n_rx, -1)
         cols = np.flatnonzero(full.any(axis=0))
-        # the views go before their buffers are asked for at other sizes
-        del d2, dy2, inside, test
         mvals = np.where(ok, 0.0, -np.inf)
-        # _scores holds every receiver's row of its moves: slices of at most
-        # four entries per live (pair, move) keep the peak with the live pairs
-        width = max(1, 4 * len(start) * len(_COMPASS) // n_rx)
+        # an unsized scratch takes every move in one batch
+        width = max(1, scratch.cells // n_rx or len(cols))
         for lo in range(0, len(cols), width):
             part = cols[lo : lo + width]
             mvals.reshape(-1)[part] = _score_columns(
@@ -718,13 +699,13 @@ def optimize_fake_positions(
     thin for any grid), filtered to the feasible set, then greedy compass
     refinement with step halving from the top few candidates. In a thin
     band (``_THIN_SHARE``) every candidate is scored, and all fakers'
-    refinements walk in lockstep in one batch tested only against the
-    receivers a move can reach (``_refine_live``). In a wider band only the
-    candidates whose upper bound can rank them among the top few are scored
-    (``_theta_batch``), and all refinements walk in lockstep in batches that
-    hold no more points than the largest candidate set (``_refine``). Both
-    walks end byte-equal, and each faker gets exactly the outcome it would
-    get searched alone.
+    refinements walk in lockstep tested only against the receivers a move
+    can reach (``_refine_live``). In a wider band only the candidates whose
+    upper bound can rank them among the top few are scored
+    (``_theta_batch``), and all refinements walk in lockstep against every
+    receiver (``_refine``). Both walks score in batches that hold no more
+    points than the largest candidate set, end byte-equal, and give each
+    faker exactly the outcome it would get searched alone.
 
     Every choice, of starts, of moves and of the fake, takes the highest
     value and breaks ties toward the lowest (x, y) (``_ranked``). A point

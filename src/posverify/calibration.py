@@ -96,10 +96,7 @@ def _cell_rng(seed: int, domain: int, *key: int) -> np.random.Generator:
 
 def _cell_x0(meta: CalibrationMeta, i: int) -> np.ndarray:
     """Faker position i, (2,), from its own stream."""
-    region = meta.region
-    return _cell_rng(meta.seed, _DOMAIN_X0, i).uniform(
-        (region.x_min, region.y_min), (region.x_max, region.y_max)
-    )
+    return meta.region.sample(_cell_rng(meta.seed, _DOMAIN_X0, i), 1)[0]
 
 
 def _cell_inputs(meta: CalibrationMeta, n_genuine: int, i: int, j: int):

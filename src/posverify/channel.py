@@ -287,5 +287,7 @@ def simulate_approval_rate(
     """
     if draws <= 0:
         raise ValueError(f"draws must be positive, got {draws}")
+    if not claimed_distance > 0:
+        raise ValueError(f"claimed_distance must be positive, got {claimed_distance}")
     powers = noisy_received_power(params, np.full(draws, float(true_distance)), rng)
     return float(_approve_mask(params, claimed_distance, powers).mean())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -38,6 +39,7 @@ from posverify.adversary import (
     optimize_fake_positions,
     theta_for_fake,
 )
+from posverify.calibration import _calibration_chunk
 from posverify.channel import (
     SIGMA_BAND,
     TRUTHFUL_ACCEPT_PROB,
@@ -739,11 +741,9 @@ class TestKernelMemory:
 
     def test_live_walk_peaks_below_a_dense_group(self):
         # a negligible-noise deploy's refinement: 48 fakers x 5 starts against
-        # one 52-receiver set, all in one live batch. First against a fixed
-        # yardstick, the dense walk over (smallest candidate set // 8) of the
-        # same starts, a group size _search no longer uses; then against the
-        # dense walk as _search runs it: all starts in one call, with a
-        # scratch sized for the largest candidate batch
+        # one 52-receiver set, against the dense walk as _search runs it: all
+        # starts in one call, with a scratch sized for the largest candidate
+        # batch
         cfg = PRESETS["neg-noise-52"]
         params = cfg.resolved_signal()
         rng = np.random.default_rng(52)
@@ -759,15 +759,7 @@ class TestKernelMemory:
         assert len(pts) == 48 * REFINE_STARTS
         first = np.full(len(pts), cfg.faking.grid_step / 2.0)
         assert _reachable(rx, pts, owner, first).mean() <= _THIN_SHARE
-        group = min(sizes) // len(_COMPASS)
-        assert group < len(pts)
         live = peak_bytes(lambda: _refine_live(params, REGION, rx, cfg.faking, pts, vals, owner))
-        dense = peak_bytes(
-            lambda: _refine(
-                params, REGION, rx, cfg.faking, pts[:group], vals[:group], owner[:group]
-            )
-        )
-        assert live <= dense
         searched = peak_bytes(
             lambda: _refine(
                 params, REGION, rx, cfg.faking, pts, vals, owner, _Scratch(52 * max(sizes))
@@ -1173,3 +1165,27 @@ class TestScratchReuse:
                 (have.fake_position, have.expected_deceived, have.per_node_probs),
                 (expect.fake_position, expect.expected_deceived, expect.per_node_probs),
             )
+
+    def test_no_search_grows_its_scratch(self, monkeypatch):
+        # a search sizes its scratch for its largest batch and both walks fit
+        # their batches to it: deploys and calibration chunks in thin and wide
+        # bands replace no buffer
+        calls, grown = [], []
+        inner = _Scratch.get
+
+        def get(self, name, *args, **kwargs):
+            before = self._buffers[name]
+            view = inner(self, name, *args, **kwargs)
+            calls.append(name)
+            if self._buffers[name] is not before:
+                grown.append((name, before.size, self._buffers[name].size))
+            return view
+
+        monkeypatch.setattr(_Scratch, "get", get)
+        for name in ("neg-noise-52", "sig-noise-q-55"):
+            deploy(PRESETS[name], 0)
+        for name in ("neg-noise-52", "sig-noise-62"):
+            cfg = PRESETS[name]
+            _calibration_chunk((cfg.calibration_meta(), math.ceil(cfg.n / 2), range(10)))
+        assert calls
+        assert grown == []

@@ -305,6 +305,14 @@ def test_simulate_approval_rate_equals_literal_loop():
     assert rate == count / draws
 
 
+@pytest.mark.parametrize("claimed", [0.0, -3.0, math.nan])
+def test_simulate_approval_rate_rejects_nonpositive_claim_by_name(claimed):
+    # the closed form it checks, deception_probability, rejects the same claims
+    p = default_params(sigma=3e-10)
+    with pytest.raises(ValueError, match="claimed_distance must be positive, got"):
+        simulate_approval_rate(p, 50.0, claimed, 100, np.random.default_rng(0))
+
+
 def kernel_params(sigma_at, m):
     """Noise whose 3 sigma is the ideal power at ``sigma_at`` metres, or a
     noiseless channel at None."""
