@@ -9,7 +9,6 @@ searches a rectangular deployment region for the best one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,13 +210,11 @@ class _Scratch:
 
     ``get`` views a named buffer at the shape and dtype asked for, so a
     search allocates its large temporaries once instead of once a batch.
-    The buffers start at ``_SHARES`` bytes for each of ``cells`` (receiver,
-    point) pairs, the pairs of the search's largest batch, and both walks
-    fit their batches to ``cells``, so no search grows a buffer. A buffer
-    that a request outgrows, as on a scratch made without a size, is
-    replaced by one of the size asked for, and views already taken keep
-    the old one alive. A view holds stale values until
-    written, and its contents last only until the next ``get`` of its name.
+    Each buffer holds ``_SHARES`` bytes for each of ``cells`` (receiver,
+    point) pairs, the pairs of the largest batch it serves, and never
+    grows: a request beyond it raises numpy's ``TypeError``. A view holds
+    stale values until written, and its contents last only until the next
+    ``get`` of its name.
     Stages share a name only between arrays that are never alive at once:
 
     - "d2": a batch's squared distances (receivers, points), then its pair
@@ -235,19 +232,13 @@ class _Scratch:
     # bytes per cell: the float arrays above, the masks, and two level counts
     _SHARES = {"d2": 8, "work": 8, "pairs": 8, "inside": 1, "mask": 2}
 
-    def __init__(self, cells: int = 0) -> None:
+    def __init__(self, cells: int) -> None:
         self.cells = cells
         self._buffers = {
             name: np.empty(share * cells, dtype=np.uint8) for name, share in self._SHARES.items()
         }
 
     def get(self, name: str, shape, dtype=np.float64, order: str = "C") -> np.ndarray:
-        if not isinstance(shape, tuple):
-            shape = (shape,)
-        size = math.prod(shape) * np.dtype(dtype).itemsize
-        if self._buffers[name].size < size:
-            self._buffers[name] = None  # freed before its successor, if no view holds it
-            self._buffers[name] = np.empty(size, dtype=np.uint8)
         return np.ndarray(shape, dtype, buffer=self._buffers[name], order=order)
 
 
@@ -280,11 +271,12 @@ def _theta_batch(
     the floor, ties included. The rest cannot beat the floor. A thinner
     batch scores every point, as without ``top``.
 
-    Large temporaries come from ``scratch`` (``_Scratch``), a fresh one when
-    it is None; a search passes its own to every batch.
+    Large temporaries come from ``scratch`` (``_Scratch``), which must hold
+    (receivers, points) cells; a search passes its own to every batch, and
+    without one the call sizes one for this batch.
     """
-    scratch = _Scratch() if scratch is None else scratch
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    scratch = _Scratch(rx.r.shape[0] * len(pts)) if scratch is None else scratch
     d2, inside = _in_band(rx, pts, owner, scratch)
     if top is None or len(pts) <= top or np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
         return _scores(params, rx, pts, owner, inside, scratch)
@@ -315,12 +307,11 @@ def _receiver_columns(rx: _Receivers, k: int, owner, out=None) -> np.ndarray:
 
 
 def _in_band(
-    rx: _Receivers, pts: np.ndarray, owner, scratch: _Scratch | None = None
+    rx: _Receivers, pts: np.ndarray, owner, scratch: _Scratch
 ) -> tuple[np.ndarray, np.ndarray]:
     """Squared distances (receivers, points), and which of those pairs lie
     inside the band of the point's faker: views into ``scratch``'s "d2"
     and "inside"."""
-    scratch = _Scratch() if scratch is None else scratch
     shape = (rx.r.shape[0], len(pts))
     d2, work = scratch.get("d2", shape), scratch.get("work", shape)
     np.subtract(_receiver_columns(rx, 0, owner, work), pts[:, 0], out=d2)
@@ -396,13 +387,12 @@ def _score_columns(
     return _scores(params, rx, pts[cols], part, mask, scratch)
 
 
-def _pair_bounds(rx: _Receivers, d2, owner, scratch: _Scratch | None = None) -> np.ndarray:
+def _pair_bounds(rx: _Receivers, d2, owner, scratch: _Scratch) -> np.ndarray:
     """Upper bound on the deception probability of each pair, from the
     squared claimed distances ``d2`` (receivers, points) of points claimed
     by ``owner``, as ``_columns``. The level counts take ``scratch``'s
     "mask", the gathered level edges and the counts' indices "work" and the
     result "d2", so ``d2`` may live in "d2"."""
-    scratch = _Scratch() if scratch is None else scratch
     counts = scratch.get("mask", (2, *np.shape(d2)), np.uint8)
     level, outside = counts[0], counts[1].view(bool)
     level.fill(0)
@@ -415,7 +405,7 @@ def _pair_bounds(rx: _Receivers, d2, owner, scratch: _Scratch | None = None) -> 
     return _LEVEL_BOUNDS.take(index, out=scratch.get("d2", level.shape), mode="clip")
 
 
-def _bounds(rx: _Receivers, d2, inside, owner, scratch: _Scratch | None = None) -> np.ndarray:
+def _bounds(rx: _Receivers, d2, inside, owner, scratch: _Scratch) -> np.ndarray:
     """Upper bound on each point's exact score, from the squared distances
     ``d2`` (receivers, points) of its in-band pairs ``inside``: its pairs'
     bounds summed in receiver order."""
@@ -572,22 +562,19 @@ def _refine(
     pts: np.ndarray,
     vals: np.ndarray,
     owner: np.ndarray,
-    scratch: _Scratch | None = None,
+    scratch: _Scratch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_walk`` scoring every move against every receiver. An iteration's
     moves are scored in batches of at most ``scratch.cells // receivers``
-    points, all in one when ``scratch`` was made without a size; since
-    ``_theta_batch`` sums each point in one order, each start walks exactly
-    as it would alone.
+    points; since ``_theta_batch`` sums each point in one order, each start
+    walks exactly as it would alone.
     """
-    scratch = _Scratch() if scratch is None else scratch
     move_owner = np.repeat(owner, len(_COMPASS))
 
     def score(moves, ok, *_):
         mvals = np.full(ok.shape, -np.inf)
         at = np.flatnonzero(ok)
-        # an unsized scratch takes every move in one batch
-        width = max(1, scratch.cells // rx.r.shape[0] or len(at))
+        width = max(1, scratch.cells // rx.r.shape[0])
         for lo in range(0, len(at), width):
             part = at[lo : lo + width]
             batch = moves.reshape(-1, 2)[part]
@@ -631,7 +618,7 @@ def _refine_live(
     pts: np.ndarray,
     vals: np.ndarray,
     owner: np.ndarray,
-    scratch: _Scratch | None = None,
+    scratch: _Scratch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_walk`` testing each start only against the receivers its moves
     can reach (``_reachable``). The moves with an in-band pair are scored
@@ -646,7 +633,6 @@ def _refine_live(
     receiver's row, so each sums in ``_refine``'s order, and the walks end
     byte-equal.
     """
-    scratch = _Scratch() if scratch is None else scratch
     move_owner = np.repeat(owner, len(_COMPASS))
     n_rx = rx.r.shape[0]
     live = None
@@ -668,8 +654,7 @@ def _refine_live(
         full = full.reshape(n_rx, -1)
         cols = np.flatnonzero(full.any(axis=0))
         mvals = np.where(ok, 0.0, -np.inf)
-        # an unsized scratch takes every move in one batch
-        width = max(1, scratch.cells // n_rx or len(cols))
+        width = max(1, scratch.cells // n_rx)
         for lo in range(0, len(cols), width):
             part = cols[lo : lo + width]
             mvals.reshape(-1)[part] = _score_columns(
@@ -713,22 +698,10 @@ def optimize_fake_positions(
     value the search maximised.
 
     The call's batches take their large temporaries from one ``_Scratch``,
-    which the call sizes for its largest batch and frees on return.
+    which the call sizes for its largest batch, the largest candidate set,
+    and frees on return.
     """
     rx = _receivers(params, true_positions, genuine_positions)
-    return _search(params, region, rx, config)
-
-
-def _search(
-    params: SignalParams,
-    region: Region,
-    rx: _Receivers,
-    config: FakingSearchConfig,
-    scratch: _Scratch | None = None,
-) -> list[FakingOutcome]:
-    """``optimize_fake_positions`` on the receivers ``rx``, its batches
-    taking their temporaries from ``scratch``; by default a new one, sized
-    for the largest batch."""
     if not np.all(region.contains(rx.x0)):
         raise ValueError("true_position lies outside the region")
     # each position's farthest corner
@@ -763,7 +736,7 @@ def _search(
     # the largest candidate batch is the search's largest: refinement
     # batches hold no more points
     most = max(np.count_nonzero(on_grid) + len(extra) for on_grid, extra in geometry)
-    scratch = _Scratch(rx.r.shape[0] * most) if scratch is None else scratch
+    scratch = _Scratch(rx.r.shape[0] * most)
     starts = []
     for f, (on_grid, extra) in enumerate(geometry):
         cands = np.concatenate([grid[on_grid], extra])

@@ -278,7 +278,8 @@ def cached_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> Theta
 
     A cache file that does not decode, does not hold a well-formed table,
     or holds a table for other inputs is recomputed and overwritten with a
-    warning that names it.
+    warning that names it. A table that cannot be stored is returned with
+    a warning that names the cache file.
     """
     path = theta_cache_path(n, meta)
     if path.exists():
@@ -290,5 +291,8 @@ def cached_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> Theta
         except ValueError as exc:
             warnings.warn(f"{exc}; recomputing it", stacklevel=2)
     table = estimate_theta_table(n, meta, workers=workers)
-    save_theta_table(table)
+    try:
+        save_theta_table(table)
+    except OSError as exc:
+        warnings.warn(f"cannot cache theta table {path}: {exc}", stacklevel=2)
     return table

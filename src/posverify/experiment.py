@@ -136,6 +136,10 @@ def config_to_dict(c: ExperimentConfig) -> dict:
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     d = dict(d)
+    # the file spells the counts one way only, as config_to_dict writes them
+    flat = sorted({"calibration_positions", "calibration_sets"} & d.keys())
+    if flat:
+        raise ValueError(f"unknown ExperimentConfig keys {flat}: the counts go under calibration")
     calibration = from_json(dict[str, object], d.pop("calibration", {}))
     d.update({f"calibration_{k}": v for k, v in calibration.items()})
     return from_json(ExperimentConfig, d)

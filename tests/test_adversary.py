@@ -32,7 +32,6 @@ from posverify.adversary import (
     _refine,
     _refine_live,
     _Scratch,
-    _search,
     _theta_batch,
     _top,
     optimize_fake_position,
@@ -92,6 +91,12 @@ REGION = Region(0.0, 100.0, 0.0, 100.0)
 
 def make_params(sigma):
     return SignalParams(transmit_power=1.0, wavelength=0.125, noise_sigma=sigma)
+
+
+def walk_cells(rx, starts):
+    """Cells of one walk iteration: every start's compass moves against
+    every receiver, the batch a walk takes at once on a scratch this size."""
+    return rx.r.shape[0] * len(_COMPASS) * len(starts)
 
 
 class TestRegion:
@@ -257,11 +262,11 @@ class TestOptimizer:
             cfg = FakingSearchConfig(exclusion_radius=2.0, grid_step=5.0, refine_iters=iters)
             moves = REGION.clip(starts[-1] + cfg.grid_step / 2.0 * _COMPASS)
             assert np.sum(np.hypot(*(moves - x0[2]).T) >= cfg.exclusion_radius) == 1
-            pts, out = walk(params, REGION, rx, cfg, starts, vals, owner)
+            scratch = _Scratch(walk_cells(rx, starts))
+            pts, out = walk(params, REGION, rx, cfg, starts, vals, owner, scratch)
             for i in range(len(starts)):
-                alone = walk(
-                    params, REGION, rx, cfg, starts[i : i + 1], vals[i : i + 1], owner[i : i + 1]
-                )
+                one = slice(i, i + 1)
+                alone = walk(params, REGION, rx, cfg, starts[one], vals[one], owner[one], scratch)
                 assert pts[i].tolist() == alone[0][0].tolist()
                 assert out[i] == alone[1][0]
 
@@ -461,7 +466,7 @@ class TestBounds:
         claims = np.arange(len(d2))
         batch = np.zeros((rx.r.shape[0], len(d2)))
         batch[rows, claims] = d2
-        bound = _pair_bounds(rx, batch, bands)[rows, claims]
+        bound = _pair_bounds(rx, batch, bands, _Scratch(batch.size))[rows, claims]
         p = _deception_prob_arrays(params, rx.r[rows, bands], np.sqrt(d2))
         assert np.all(bound >= p)
 
@@ -472,12 +477,15 @@ class TestBounds:
         d2, rows, bands = level_edge_claims(rx)
         angles = rng.uniform(0.0, 2.0 * np.pi, len(d2))
         pts = gp[rows] + np.sqrt(d2)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        scratch = _Scratch(rx.r.shape[0] * len(pts))
         for f in range(len(x0s)):
-            d2f, inside = _in_band(rx, pts, f)
-            assert np.all(_bounds(rx, d2f, inside, f) >= _theta_batch(params, rx, pts, f))
+            d2f, inside = _in_band(rx, pts, f, scratch)
+            bound = _bounds(rx, d2f, inside, f, scratch)
+            assert np.all(bound >= _theta_batch(params, rx, pts, f))
         # mixed owners: each point bounded with its own faker's edges
-        d2m, inside = _in_band(rx, pts, bands)
-        assert np.all(_bounds(rx, d2m, inside, bands) >= _theta_batch(params, rx, pts, bands))
+        d2m, inside = _in_band(rx, pts, bands, scratch)
+        bound = _bounds(rx, d2m, inside, bands, scratch)
+        assert np.all(bound >= _theta_batch(params, rx, pts, bands))
 
     def test_no_in_band_pair_bounds_just_above_zero(self):
         # a point no receiver's band reaches scores exactly 0.0, so it ties a
@@ -485,9 +493,10 @@ class TestBounds:
         params = make_params(1e-25)
         rx = _receivers(params, (80.0, 80.0), [(20.0, 60.0)])
         pts = np.array([(100.0, 0.0), (50.0, 50.0)])
-        d2, inside = _in_band(rx, pts, 0)
+        scratch = _Scratch(rx.r.shape[0] * len(pts))
+        d2, inside = _in_band(rx, pts, 0, scratch)
         assert not inside.any()
-        bound = _bounds(rx, d2, inside, 0)
+        bound = _bounds(rx, d2, inside, 0, scratch)
         assert np.all(bound > 0.0) and np.all(bound < 1e-6)
 
 
@@ -741,9 +750,10 @@ class TestKernelMemory:
 
     def test_live_walk_peaks_below_a_dense_group(self):
         # a negligible-noise deploy's refinement: 48 fakers x 5 starts against
-        # one 52-receiver set, against the dense walk as _search runs it: all
-        # starts in one call, with a scratch sized for the largest candidate
-        # batch
+        # one 52-receiver set, all in one call, on a scratch sized as the
+        # search sizes it, for the largest candidate batch, and made before
+        # the measured call. Beyond the scratch, neither walk's peak reaches
+        # one (receivers x moves) float array of the group
         cfg = PRESETS["neg-noise-52"]
         params = cfg.resolved_signal()
         rng = np.random.default_rng(52)
@@ -759,25 +769,22 @@ class TestKernelMemory:
         assert len(pts) == 48 * REFINE_STARTS
         first = np.full(len(pts), cfg.faking.grid_step / 2.0)
         assert _reachable(rx, pts, owner, first).mean() <= _THIN_SHARE
-        live = peak_bytes(lambda: _refine_live(params, REGION, rx, cfg.faking, pts, vals, owner))
-        searched = peak_bytes(
-            lambda: _refine(
-                params, REGION, rx, cfg.faking, pts, vals, owner, _Scratch(52 * max(sizes))
-            )
-        )
-        assert live <= searched
+        for walk in (_refine_live, _refine):
+            args = (params, REGION, rx, cfg.faking, pts, vals, owner, _Scratch(52 * max(sizes)))
+            assert peak_bytes(lambda: walk(*args)) < 52 * len(pts) * len(_COMPASS) * 8
 
     def test_second_candidate_batch_allocates_no_dense_array(self):
-        # a calibration cell's shape: 100 receivers, about 2.4k candidates. The
-        # first batch fills the scratch; the second reuses it, so its peak, and
-        # any block it allocates, stays below one (receivers x points) float array
+        # a calibration cell's shape: 100 receivers, about 2.4k candidates, on
+        # a scratch sized for them. The first batch fills the scratch; the
+        # second reuses it, so its peak, and any block it allocates, stays
+        # below one (receivers x points) float array
         cfg = FakingSearchConfig(
             exclusion_radius=0.2 * REGION.diagonal, grid_step=REGION.diagonal / 30.0
         )
         pts = search_candidates(self.params, self.x0s[0], self.gp, cfg)
         assert 2000 < len(pts) < 3000
         rx = _receivers(self.params, self.x0s[:1], self.gp)
-        scratch = _Scratch()
+        scratch = _Scratch(len(self.gp) * len(pts))
         first = _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
         second = peak_bytes(
             lambda: _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
@@ -794,7 +801,7 @@ class TestKernelMemory:
         starts, owner = REGION.sample(rng, 300), np.repeat(np.arange(25), 12)
         vals = _theta_batch(self.params, rx, starts, owner)
         cfg = FakingSearchConfig(exclusion_radius=2.0, grid_step=4.0, refine_iters=1)
-        scratch = _Scratch()
+        scratch = _Scratch(walk_cells(rx, starts))
         first = _refine(self.params, REGION, rx, cfg, starts, vals, owner, scratch)
         second = peak_bytes(
             lambda: _refine(self.params, REGION, rx, cfg, starts, vals, owner, scratch)
@@ -983,8 +990,9 @@ class TestRefineWalks:
     @given(walk_instances())
     def test_live_walk_equals_dense_walk(self, instance):
         params, rx, cfg, starts, vals, owner = instance
-        dense = _refine(params, REGION, rx, cfg, starts, vals, owner)
-        live = _refine_live(params, REGION, rx, cfg, starts, vals, owner)
+        scratch = _Scratch(walk_cells(rx, starts))
+        dense = _refine(params, REGION, rx, cfg, starts, vals, owner, scratch)
+        live = _refine_live(params, REGION, rx, cfg, starts, vals, owner, scratch)
         assert live[0].tobytes() == dense[0].tobytes()
         assert live[1].tobytes() == dense[1].tobytes()
 
@@ -995,7 +1003,8 @@ class TestRefineWalks:
         params, rx, cfg, starts, vals, owner = instance
         want = reference_walk(params, REGION, rx, cfg, starts, vals, owner)[:2]
         for walk in (_refine, _refine_live):
-            assert_same_bytes(walk(params, REGION, rx, cfg, starts, vals, owner), want)
+            scratch = _Scratch(walk_cells(rx, starts))
+            assert_same_bytes(walk(params, REGION, rx, cfg, starts, vals, owner, scratch), want)
 
     @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-q-55"])
     def test_moves_scored_the_iteration_before_skip_the_scorer(self, name, monkeypatch):
@@ -1041,7 +1050,7 @@ class TestRefineWalks:
             params, rx, cfg, starts, vals, owner = instance
             for walk in (_refine, _refine_live):
                 walks.clear()
-                walk(params, REGION, rx, cfg, starts, vals, owner)
+                walk(params, REGION, rx, cfg, starts, vals, owner, _Scratch(walk_cells(rx, starts)))
                 assert_no_move_scored_again(*walks)
 
         check()
@@ -1061,7 +1070,9 @@ class TestRefineWalks:
         start = np.array([(61.904761904761905, 100.0)])
         vals, owner = _theta_batch(params, rx, start, 0), np.zeros(1, dtype=int)
         walks = recorded_scores(monkeypatch)
-        got = walk(params, cfg.region, rx, cfg.faking, start, vals, owner)
+        got = walk(
+            params, cfg.region, rx, cfg.faking, start, vals, owner, _Scratch(walk_cells(rx, start))
+        )
         assert_no_move_scored_again(*walks)
         want = reference_walk(params, cfg.region, rx, cfg.faking, start, vals, owner)[:2]
         assert_same_bytes(got, want)
@@ -1083,7 +1094,8 @@ class TestRefineWalks:
         vals = _theta_batch(params, rx, starts, 0)
         assert not vals.any()
         cfg = FakingSearchConfig(exclusion_radius=2.0, grid_step=8.0, refine_iters=2)
-        pts, out = walk(params, REGION, rx, cfg, starts, vals, np.zeros(2, dtype=int))
+        scratch = _Scratch(walk_cells(rx, starts))
+        pts, out = walk(params, REGION, rx, cfg, starts, vals, np.zeros(2, dtype=int), scratch)
         assert pts.tolist() == [[58.0, 50.0], (diagonal + 4.0).tolist()]
         assert out == pytest.approx([2 * TRUTHFUL_ACCEPT_PROB, TRUTHFUL_ACCEPT_PROB], rel=1e-4)
 
@@ -1147,8 +1159,10 @@ class TestScratchReuse:
     @given(walk_instances(), stale_batches(), st.sampled_from([1, 2, REFINE_STARTS]))
     def test_stale_scratch_changes_no_result(self, instance, stale, k):
         params, rx, cfg, starts, vals, owner = instance
-        scratch = _Scratch()
         *batch, top = stale
+        _, stale_rx, stale_pts, _ = batch
+        # room for the stale batch and for one walk iteration
+        scratch = _Scratch(max(stale_rx.r.shape[0] * len(stale_pts), walk_cells(rx, starts)))
         _theta_batch(*batch, top=top, scratch=scratch)
         # each result bit-equal to a fresh scratch's, on a scratch that every
         # call before it has left stale
@@ -1158,13 +1172,17 @@ class TestScratchReuse:
             assert got.tobytes() == want.tobytes()
         for walk in (_refine, _refine_live):
             got = walk(params, REGION, rx, cfg, starts, vals, owner, scratch)
-            assert_same_bytes(got, walk(params, REGION, rx, cfg, starts, vals, owner))
-        got, want = _search(params, REGION, rx, cfg, scratch), _search(params, REGION, rx, cfg)
-        for have, expect in zip(got, want, strict=True):
-            assert_same_bytes(
-                (have.fake_position, have.expected_deceived, have.per_node_probs),
-                (expect.fake_position, expect.expected_deceived, expect.per_node_probs),
-            )
+            fresh = _Scratch(walk_cells(rx, starts))
+            assert_same_bytes(got, walk(params, REGION, rx, cfg, starts, vals, owner, fresh))
+
+    @pytest.mark.parametrize("name", list(_Scratch._SHARES))
+    def test_a_request_beyond_the_cells_raises(self, name):
+        # each buffer holds its share of bytes for every cell and never grows
+        dtype = np.dtype(f"u{_Scratch._SHARES[name]}")
+        scratch = _Scratch(10)
+        assert scratch.get(name, (2, 5), dtype).shape == (2, 5)
+        with pytest.raises(TypeError, match="buffer is too small"):
+            scratch.get(name, 11, dtype)
 
     def test_no_search_grows_its_scratch(self, monkeypatch):
         # a search sizes its scratch for its largest batch and both walks fit

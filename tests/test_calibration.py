@@ -22,6 +22,7 @@ from posverify.calibration import (
     save_theta_table,
     table_from_dict,
     table_to_dict,
+    theta_cache_path,
     theta_star_source,
     threshold,
 )
@@ -279,6 +280,17 @@ class TestPersistence:
         with pytest.warns(UserWarning, match=re.escape(str(path))):
             assert cached_theta_table(**kwargs) == first
         assert load_theta_table(path) == first
+
+    def test_unwritable_cache_keeps_the_table(self, tmp_path, monkeypatch):
+        kwargs = dict(n=6, meta=sig_meta(2, 2, seed=3))
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "ok"))
+        want = cached_theta_table(**kwargs)
+        # the cache directory would sit under a regular file
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "file" / "cache"))
+        path = theta_cache_path(**kwargs)
+        with pytest.warns(UserWarning, match=f"cannot cache theta table {re.escape(str(path))}: "):
+            assert cached_theta_table(**kwargs) == want
 
     def test_cache_entry_with_negative_theta_star_is_recomputed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))

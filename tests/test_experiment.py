@@ -181,6 +181,18 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="trails"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("key", ["calibration_positions", "calibration_sets"])
+    def test_top_level_calibration_count_rejected(self, key):
+        # the counts have one spelling, under calibration: a top-level count
+        # is rejected beside the nested ones and without them
+        d = config_to_dict(tiny_config())
+        d[key] = 3
+        with pytest.raises(ValueError, match=f"unknown ExperimentConfig keys \\['{key}'\\]"):
+            config_from_dict(d)
+        del d["calibration"]
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(d)
+
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = tiny_config()
