@@ -138,10 +138,10 @@ _BOUND_SLACK = 1e-9
 
 # A band is thin when at most this share of a candidate batch's (receiver,
 # point) pairs lie in it, or of the (receiver, start) pairs a walk can reach
-# at its first step (_reachable). _theta_batch then scores every candidate,
-# as the level bound would keep about those the in-band count keeps, and the
-# search walks with _refine_live; wider bands are bound-pruned and walk with
-# _refine. Measured on preset deploys and calibration chunks (2-CPU x86
+# at its first step (_reachable). _theta_batch then scores every point from
+# its list of in-band pairs, as the level bound would keep about the points
+# that have any, and the search walks with _refine_live; wider bands are
+# bound-pruned and walk with _refine. Measured on preset deploys and calibration chunks (2-CPU x86
 # host): in-band shares 0.011-0.023 in negligible noise and 0.42-0.64 in
 # significant noise; reachable shares 0.08-0.11 and 0.68-0.81. The cut sits
 # between both pairs.
@@ -260,16 +260,17 @@ def _theta_batch(
     Each point's receivers are summed along contiguous memory, in numpy's
     pairwise order, which is also the order of a one-point batch and of a
     per-node probability row's ``sum()``. A point therefore scores the same
-    whatever else is in the batch.
+    whatever else is in the batch. A batch with at most ``_THIN_SHARE`` of
+    its pairs in band is summed from its list of in-band pairs instead
+    (``_thin_scores``), to the same bits.
 
-    With ``top``, a batch with more than ``_THIN_SHARE`` of its pairs in
-    band gives only the points that can rank among the ``top`` best their
-    exact value, the others -inf, so ``_ranked`` picks the same ``top``
-    points as over every exact value. Points reach the channel in order of
-    an upper bound (``_bounds``): first the ``top`` highest, whose lowest
-    exact value is the floor, then every other point whose bound reaches
-    the floor, ties included. The rest cannot beat the floor. A thinner
-    batch scores every point, as without ``top``.
+    With ``top``, a wider batch gives only the points that can rank among
+    the ``top`` best their exact value, the others -inf, so ``_ranked``
+    picks the same ``top`` points as over every exact value. Points reach
+    the channel in order of an upper bound (``_bounds``): first the ``top``
+    highest, whose lowest exact value is the floor, then every other point
+    whose bound reaches the floor, ties included. The rest cannot beat the
+    floor. A thin batch scores every point, as without ``top``.
 
     Large temporaries come from ``scratch`` (``_Scratch``), which must hold
     (receivers, points) cells; a search passes its own to every batch, and
@@ -278,7 +279,9 @@ def _theta_batch(
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     scratch = _Scratch(rx.r.shape[0] * len(pts)) if scratch is None else scratch
     d2, inside = _in_band(rx, pts, owner, scratch)
-    if top is None or len(pts) <= top or np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
+    if np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
+        return _thin_scores(params, rx, pts, owner, inside, scratch)
+    if top is None or len(pts) <= top:
         return _scores(params, rx, pts, owner, inside, scratch)
     bound = _bounds(rx, d2, inside, owner, scratch)
     values = np.full(len(pts), -np.inf)
@@ -385,6 +388,50 @@ def _score_columns(
     np.take(inside, cols, axis=1, out=mask, mode="clip")
     part = owner if np.ndim(owner) == 0 else owner[cols]
     return _scores(params, rx, pts[cols], part, mask, scratch)
+
+
+def _pair_sums(
+    params: SignalParams, true, dx, dy, cols, points: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``points`` points' sum over its listed pairs, and which
+    points list more than two. Pair i, of point ``cols[i]``, is a receiver
+    at true distance ``true[i]`` and at offset (``dx[i]``, ``dy[i]``) from
+    the claim; the three arrays are spent.
+
+    A point's pairs are added in list order. For a point with at most two,
+    that is ``_scores``' sum: every other entry of its dense column is
+    +0.0, which leaves any sum unchanged, so both give 0.0, a, or fl(a + b)
+    in either order. With three or more the order can move the last bit,
+    so the caller scores those points densely.
+    """
+    claimed = np.hypot(dx, dy, out=dx)
+    probs = _deception_prob_arrays(params, true, claimed, out=dy)
+    # an empty list counts into integers, whatever its weights
+    sums = np.bincount(cols, probs, points).astype(float, copy=False)
+    return sums, np.bincount(cols, minlength=points) > 2
+
+
+def _thin_scores(
+    params: SignalParams,
+    rx: _Receivers,
+    pts: np.ndarray,
+    owner,
+    inside: np.ndarray,
+    scratch: _Scratch,
+) -> np.ndarray:
+    """``_scores`` from the list of ``inside``'s pairs (``_pair_sums``); a
+    point with more than two goes through ``_score_columns``."""
+    # flatnonzero and divmod outpace a 2-D nonzero several times over
+    rcv, cols = np.divmod(np.flatnonzero(inside), inside.shape[1])
+    band = owner if np.ndim(owner) == 0 else owner[cols]
+    gx, gy = rx.coords[:, rcv, band]
+    values, many = _pair_sums(
+        params, rx.r[rcv, band], gx - pts[cols, 0], gy - pts[cols, 1], cols, len(pts)
+    )
+    many = np.flatnonzero(many)
+    if len(many):
+        values[many] = _score_columns(params, rx, pts, owner, inside, many, scratch)
+    return values
 
 
 def _pair_bounds(rx: _Receivers, d2, owner, scratch: _Scratch) -> np.ndarray:
@@ -621,20 +668,19 @@ def _refine_live(
     scratch: _Scratch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_walk`` testing each start only against the receivers its moves
-    can reach (``_reachable``). The moves with an in-band pair are scored
-    in batches of ``_refine``'s size.
+    can reach (``_reachable``).
 
-    Each live (receiver, start) pair carries its receiver's coordinates and
-    band edges. The pairs of every start are re-found whenever a start has
-    moved, and kept otherwise. A move's pairs take ``_in_band``'s per-pair
-    ``d2`` and test, so a move has the same in-band pairs as in
-    ``_refine``. A feasible move with none scores exactly 0.0, as its
-    all-zero column sums to there; the others reach ``_scores`` with every
-    receiver's row, so each sums in ``_refine``'s order, and the walks end
-    byte-equal.
+    Each live (receiver, start) pair carries its receiver's coordinates,
+    band edges and true distance. The pairs of every start are re-found
+    whenever a start has moved, and kept otherwise. A move's pairs take
+    ``_in_band``'s per-pair ``d2`` and test, so a move has the same in-band
+    pairs as in ``_refine``, and each move is summed from its own in-band
+    pairs (``_pair_sums``): a feasible move with none scores exactly 0.0.
+    The few moves with more than two go through ``_theta_batch`` in
+    batches of ``_refine``'s size, so every move sums as in ``_refine``,
+    and the walks end byte-equal.
     """
     move_owner = np.repeat(owner, len(_COMPASS))
-    n_rx = rx.r.shape[0]
     live = None
 
     def score(moves, ok, moved, pts, steps):
@@ -642,25 +688,28 @@ def _refine_live(
         if moved.any():
             rcv, start = np.nonzero(_reachable(rx, pts, owner, steps))
             band = owner[start]
-            live = (start, rcv, *rx.coords[:, rcv, band], rx.near2[rcv, band], rx.far2[rcv, band])
-        # live pairs: start, receiver, and the receiver's x, y and band edges
-        start, rcv, gx, gy, near2, far2 = live
+            edges = (rx.near2[rcv, band], rx.far2[rcv, band], rx.r[rcv, band])
+            live = (start, *rx.coords[:, rcv, band], *edges)
+        # live pairs: start, and the receiver's x, y, band edges and true distance
+        start, gx, gy, near2, far2, r = live
         # _in_band's d2 and test on each (live pair, move)
-        d2 = np.square(gx[:, None] - moves[start, :, 0])
-        d2 += np.square(gy[:, None] - moves[start, :, 1])
+        dx = gx[:, None] - moves[start, :, 0]
+        dy = gy[:, None] - moves[start, :, 1]
+        d2 = np.square(dx)
+        d2 += np.square(dy)
         inside = (d2 >= near2[:, None]) & (d2 <= far2[:, None]) & ok[start]
-        full = np.zeros((n_rx, *ok.shape), dtype=bool)
-        full[rcv, start] = inside
-        full = full.reshape(n_rx, -1)
-        cols = np.flatnonzero(full.any(axis=0))
-        mvals = np.where(ok, 0.0, -np.inf)
-        width = max(1, scratch.cells // n_rx)
-        for lo in range(0, len(cols), width):
-            part = cols[lo : lo + width]
-            mvals.reshape(-1)[part] = _score_columns(
-                params, rx, moves.reshape(-1, 2), move_owner, full, part, scratch
-            )
-        return mvals
+        at = np.flatnonzero(inside)
+        pair, move = np.divmod(at, len(_COMPASS))
+        cols = start[pair] * len(_COMPASS) + move
+        mvals, many = _pair_sums(params, r[pair], dx.flat[at], dy.flat[at], cols, ok.size)
+        mvals[~ok.reshape(-1)] = -np.inf
+        many = np.flatnonzero(many)
+        width = max(1, scratch.cells // rx.r.shape[0])
+        for lo in range(0, len(many), width):
+            part = many[lo : lo + width]
+            batch = moves.reshape(-1, 2)[part]
+            mvals[part] = _theta_batch(params, rx, batch, move_owner[part], scratch=scratch)
+        return mvals.reshape(ok.shape)
 
     return _walk(region, rx, config, pts, vals, owner, score)
 

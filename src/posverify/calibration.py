@@ -33,10 +33,15 @@ _DECILES = tuple(t / 10 for t in QUANTILE_TENTHS)
 _DOMAIN_X0 = 1
 _DOMAIN_GENUINE = 2
 
-# Cells per lockstep search, and per pool job: 10 and 50 jobs for 100- and
-# 500-cell tables, an even split over 2 workers. Chunks of 50 or 100 cells
-# searched slower per cell than 10, their refinement batches being larger.
-CHUNK_CELLS = 10
+# Cells per lockstep search, and per pool job: 4 and 20 jobs for 100- and
+# 500-cell tables, an even split over 2 workers. Seconds a table, fresh
+# process a run (2-CPU x86 host), chunks of 10 -> 25 -> 50 cells:
+# - 500 negligible-noise n=100 cells, 1 worker: 0.55-0.58 -> 0.45-0.48 ->
+#   0.45-0.53;
+# - 500 significant-noise n=100 cells, 2 workers: 0.87-1.05 -> 0.82-0.94;
+# - 100 significant-noise n=200 cells, 2 workers: 0.49-0.62 -> 0.46-0.61 ->
+#   0.50-0.60.
+CHUNK_CELLS = 25
 
 
 @dataclass(frozen=True)

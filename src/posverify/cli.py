@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,13 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _format_warning(message, *_) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a package warning shows as one line, as an error does
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -6,11 +6,12 @@ keys are kept. ``from_json`` reverses it from the field type hints: a key
 that is absent takes the field's default, a value that is already an
 instance of its type passes through, an ``int`` takes only an integer and
 a ``float`` only a number (neither takes a bool; a ``float`` keeps a JSON
-integer as it is), and a tuple or frozenset only an array; an error inside
-a field or dict value names its key. Each write goes to a temp file of its
-own, ``<name>.<random hex>.tmp`` next to the target, and is renamed into
-place, so a reader never sees half a file and writers of one path never
-share a temp file; the temp file is removed when either step fails.
+integer as it is), a ``str`` only a string, and a tuple or frozenset only
+an array; an error inside a field or dict value names its key. Each write
+goes to a temp file of its own, ``<name>.<random hex>.tmp`` next to the
+target, and is renamed into place, so a reader never sees half a file and
+writers of one path never share a temp file; the temp file is removed when
+either step fails.
 ``read_json`` names the file and what it should hold when reading one fails.
 """
 
@@ -50,6 +51,8 @@ def from_json(tp, data):
         raise TypeError(f"expected an integer, got {data!r}")
     if tp is float and (isinstance(data, bool) or not isinstance(data, (int, float))):
         raise TypeError(f"expected a number, got {data!r}")
+    if tp is str and not isinstance(data, str):
+        raise TypeError(f"expected a string, got {data!r}")
     if origin is None and isinstance(data, tp):
         return data
     if (dataclasses.is_dataclass(tp) or origin is dict) and not isinstance(data, dict):

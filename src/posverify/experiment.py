@@ -10,7 +10,7 @@ import numpy as np
 from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .calibration import CalibrationMeta, ThetaTable, cached_theta_table, load_theta_table
 from .channel import SignalParams, ideal_received_power
-from .codec import from_json, read_json, to_json, write_csv, write_json
+from .codec import _from_json_at, from_json, read_json, to_json, write_csv, write_json
 from .pool import pool_map
 from .protocol import (
     FilterResult,
@@ -134,14 +134,20 @@ def config_to_dict(c: ExperimentConfig) -> dict:
     return d
 
 
-def config_from_dict(d: dict) -> ExperimentConfig:
-    d = dict(d)
+def config_from_dict(d) -> ExperimentConfig:
+    """The config of a file's JSON value, laid out as ``config_to_dict``
+    writes it; an error names its key, a nested one by dotted path."""
+    d = from_json(dict[str, object], d)
     # the file spells the counts one way only, as config_to_dict writes them
     flat = sorted({"calibration_positions", "calibration_sets"} & d.keys())
     if flat:
         raise ValueError(f"unknown ExperimentConfig keys {flat}: the counts go under calibration")
-    calibration = from_json(dict[str, object], d.pop("calibration", {}))
-    d.update({f"calibration_{k}": v for k, v in calibration.items()})
+    calibration = _from_json_at("calibration", dict[str, object], d.pop("calibration", {}))
+    unknown = sorted(calibration.keys() - {"positions", "sets"})
+    if unknown:
+        raise ValueError(f"unknown ExperimentConfig keys {[f'calibration.{k}' for k in unknown]}")
+    for k, v in calibration.items():
+        d[f"calibration_{k}"] = _from_json_at(f"calibration.{k}", int, v)
     return from_json(ExperimentConfig, d)
 
 

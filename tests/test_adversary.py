@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -33,6 +34,7 @@ from posverify.adversary import (
     _refine_live,
     _Scratch,
     _theta_batch,
+    _thin_scores,
     _top,
     optimize_fake_position,
     optimize_fake_positions,
@@ -428,6 +430,98 @@ class TestPrunedKernel:
         pts = np.array([gp[1], gp[0], (50.0, 50.0)])
         want = dense_theta_batch(params, (30.0, 30.0), gp, pts)
         assert _theta_batch(params, rx, pts, 0).tobytes() == want.tobytes()
+
+
+@st.composite
+def thin_instances(draw):
+    """Batches in thin bands: claims on the first faker's equal-range
+    circles and at pair reflections, where one or two pairs lie in band,
+    among claims that reach no band."""
+    exponent = draw(st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    params = noise_params(exponent, draw(st.sampled_from(["zero", "1e-30", "negligible"])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gp = REGION.sample(rng, draw(st.integers(4, 40)))
+    x0s = REGION.sample(rng, draw(st.integers(1, 4)))
+    r = np.hypot(gp[:, 0] - x0s[0, 0], gp[:, 1] - x0s[0, 1])
+    angles = rng.uniform(0.0, 2.0 * np.pi, len(gp))
+    pts = np.concatenate(
+        [
+            REGION.sample(rng, draw(st.integers(len(gp), 4 * len(gp)))),
+            gp + r[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1),
+            _pair_reflections(x0s[0], _receiver_pairs(gp))[: draw(st.integers(0, 20))],
+        ]
+    )
+    return params, x0s, gp, pts
+
+
+class TestThinScores:
+    def test_bit_identical_to_a_dense_sum(self, monkeypatch):
+        # the pair-list sums against every receiver's probability summed in a
+        # column, as _scores sums; each drawn batch must take the thin path
+        thin = recorded_calls(monkeypatch, "_thin_scores")
+
+        @given(thin_instances())
+        def check(instance):
+            params, x0s, gp, pts = instance
+            rx = _receivers(params, x0s, gp)
+            dense = [dense_theta_batch(params, x0, gp, pts) for x0 in x0s]
+            thin.clear()
+            for f in range(len(x0s)):
+                assert _theta_batch(params, rx, pts, f).tobytes() == dense[f].tobytes()
+            owner = np.arange(len(pts)) % len(x0s)
+            got = _theta_batch(params, rx, pts, owner, top=REFINE_STARTS)
+            assert got.tobytes() == np.choose(owner, dense).tobytes()
+            assert thin == ["_thin_scores"] * (len(x0s) + 1)
+
+        check()
+
+    def test_collinear_receivers_fall_back_in_search_and_walk(self, monkeypatch):
+        # receivers on x + y = 20 mirror x0 = (20, 20) onto the corner (0, 0)
+        # for every pair, so that point lies in three bands. It is a candidate,
+        # and the walk's clipped moves from it land on it again: the >2
+        # fallback runs in the candidate scorer (_score_columns) and in the
+        # live walk (_theta_batch). The 40 receivers away from the corner keep
+        # the reachable share thin. Outcome as with dense column sums
+        calls = recorded_calls(monkeypatch, "_score_columns", "_refine_live", "_theta_batch")
+        params = noise_params(2.0, "negligible")
+        line = np.array([(2.0, 18.0), (6.0, 14.0), (10.0, 10.0)])
+        gp = np.concatenate([line, np.random.default_rng(3).uniform(30.0, 100.0, (40, 2))])
+        cfg = FakingSearchConfig(exclusion_radius=7.07, grid_step=10.0)
+        out = optimize_fake_position(params, REGION, (20.0, 20.0), gp, cfg)
+        walk = calls.index("_refine_live")
+        assert "_score_columns" in calls[:walk] and "_theta_batch" in calls[walk:]
+        assert out.fake_position == (0.0, 0.0)
+        assert out.expected_deceived.hex() == "0x1.7ef699688ec14p+1"
+        assert [p.hex() for p in out.per_node_probs[:3]] == [
+            "0x1.fe9e21dfedc4cp-1", "0x1.fe9e21dfedc4cp-1", "0x1.fe9e21e25f7bap-1"
+        ]
+        assert not any(out.per_node_probs[3:])
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "c204a4215e1c01741d0e1275565f48d54191624e08fa7e28de4c44f57857fa31"),
+            (1, "865103ef62602826f4a89afc188fc37b0fc7ca5603c51f76bf9c06df4a6c5b56"),
+            (2, "2707157db5012eb8bc2bfdd6b9c3303a4a6e7d25fca7def08836fff5198ee23e"),
+            (3, "3b28f95af4761bce51479d9e705113a3a126649316fc23d474d75c4247d74a57"),
+        ],
+    )
+    def test_negligible_noise_deploys_keep_their_outcomes(self, seed, digest):
+        # sha256 of every faker's fake, value and per-node probabilities, as
+        # dense column sums gave them
+        cfg = PRESETS["neg-noise-52"]
+        nodes = deploy(cfg, seed)
+        genuine = [n.true_position for n in nodes[: cfg.n0]]
+        truths = [n.true_position for n in nodes[cfg.n0 :]]
+        outcomes = optimize_fake_positions(
+            cfg.resolved_signal(), cfg.region, truths, genuine, cfg.faking
+        )
+        h = hashlib.sha256()
+        for o in outcomes:
+            h.update(np.array(o.fake_position).tobytes())
+            h.update(np.float64(o.expected_deceived).tobytes())
+            h.update(np.array(o.per_node_probs).tobytes())
+        assert h.hexdigest() == digest
 
 
 @st.composite

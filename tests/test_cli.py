@@ -1,13 +1,17 @@
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import posverify
 from posverify.calibration import (
     _cell_x0,
     estimate_theta_table,
@@ -125,7 +129,7 @@ class TestBadInputs:
             (("seed",), 1.5, "seed: expected an integer, got 1.5"),
             (("trials",), True, "trials: expected an integer, got True"),
             (("calibration", "positions"), 2.5,
-             "calibration_positions: expected an integer, got 2.5"),
+             "calibration.positions: expected an integer, got 2.5"),
         ],
     )
     def test_config_int_field_takes_only_integers(self, config_path, tmp_path, capsys,
@@ -133,6 +137,27 @@ class TestBadInputs:
         path = _edited(config_path, tmp_path, keys, value)
         assert main(["run", "--config", str(path)]) == 1
         assert f"error: bad config {path}: {why}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,why",
+        [
+            ({"theta_source": [1]}, "theta_source: expected a string, got [1]"),
+            ({"filter_mode": [1]}, "filter_mode: expected a string, got [1]"),
+            ({"calibration": {"positions": 3, "foo": 1}},
+             "unknown ExperimentConfig keys ['calibration.foo']"),
+            ({"calibration": [1]}, "calibration: expected a JSON object"),
+            (None, "expected a JSON object"),  # the file holds an array
+        ],
+    )
+    def test_config_error_is_one_line_naming_the_key(self, config_path, tmp_path, capsys,
+                                                     edit, why):
+        d = json.loads(config_path.read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([d] if edit is None else {**d, **edit}))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad config {path}: {why}")
+        assert err.count("\n") == 1
 
     def test_config_float_field_rejects_a_bool(self, config_path, tmp_path, capsys):
         # JSON true is a Python int: it would run on a 1 m wide region
@@ -366,3 +391,21 @@ class TestModule:
         assert done.value.code == 0
         assert "theta_star=" in capsys.readouterr().out
         assert load_theta_table(out).n == 8
+
+    def test_a_package_warning_prints_one_line(self, config_path, tmp_path):
+        # a theta cache under a regular file cannot be written: the run keeps
+        # its table, exits 0 and warns on one line, as an error would show.
+        # It runs in a child process: pytest records the warnings of its own
+        (tmp_path / "file").write_text("")
+        env = {
+            **os.environ,
+            "POSVERIFY_THETA_CACHE": str(tmp_path / "file" / "cache"),
+            "PYTHONPATH": str(Path(posverify.__file__).parents[1]),
+        }
+        child = subprocess.run(
+            [sys.executable, "-m", "posverify", "run", "--config", str(config_path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert child.returncode == 0
+        (line,) = child.stderr.splitlines()
+        assert line.startswith(f"warning: cannot cache theta table {tmp_path / 'file' / 'cache'}")

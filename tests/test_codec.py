@@ -181,6 +181,11 @@ class TestDecoding:
         with pytest.raises(TypeError, match=re.escape(f"x_max: expected a number, got {value!r}")):
             from_json(Region, d)
 
+    @pytest.mark.parametrize("value", [[1], 0, True, None, {"mode": "explicit"}])
+    def test_str_field_takes_only_strings(self, value):
+        with pytest.raises(TypeError, match=re.escape(f"mode: expected a string, got {value!r}")):
+            from_json(NoiseMode, {"mode": value})
+
     @pytest.mark.parametrize("value", ["123", 5, 2.5, True, None, {"1": 2.0}])
     def test_tuple_field_takes_only_an_array(self, value):
         # a string or a dict would be iterated, a number would not be

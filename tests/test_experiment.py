@@ -483,7 +483,9 @@ class TestWorkers:
 
         monkeypatch.setattr(calibration, "pool_map", recording_pool_map)
         cfg = tiny_config()
-        table = estimate_theta_table(cfg.n, calibration_meta(cfg, 4, 3, seed=0), workers=2)
+        k = calibration.CHUNK_CELLS
+        meta = calibration_meta(cfg, 1, k + 2, seed=0)
+        table = estimate_theta_table(cfg.n, meta, workers=2)
         assert opened_pools == [(2, 1)]
-        assert layouts == [[range(0, 10), range(10, 12)]]
-        assert table == estimate_theta_table(cfg.n, calibration_meta(cfg, 4, 3, seed=0))
+        assert layouts == [[range(0, k), range(k, k + 2)]]
+        assert table == estimate_theta_table(cfg.n, meta)
