@@ -136,6 +136,39 @@ _LEVEL_BOUNDS = np.concatenate(
 )
 _BOUND_SLACK = 1e-9
 
+# The float32 screen (_screen) tests a candidate batch's pairs in a frame
+# (_frame): coordinates less a centre c, times 1/s, where s is the largest
+# |x - c| of any receiver or region corner (or point, for a batch scored
+# outside a search), so every coordinate lies in [-1, 1] and every squared
+# distance D in [0, 8]. With e = 2**-24, float32's unit roundoff (float64's
+# rounding adds under 2**-27 e to each term below):
+# - a coordinate rounds to float32 within e;
+# - D is the float32 dot product of (-2gx, -2gy, |g|^2, 1) and
+#   (px, py, 1, |p|^2): the cross terms' inputs are off by at most
+#   2(e + e) each and the squared norms, rounded from float64, by 2e each,
+#   12e in all; the 4-term dot product, in any order and with or without
+#   FMA, rounds by at most 4e times the sum of the terms' sizes, 2+2+2+2 =
+#   8, so 32e. |D' - D| <= 44e;
+# - an edge E/s^2 rounds to float32 within 9e wherever a D' <= 8 + 44e
+#   can reach it; farther edges are clipped to 16, beyond every D'.
+# So a margin of 64e > 53e, applied outward to every edge, keeps every pair
+# that the float64 test keeps and counts a pair beyond a level edge only
+# when its float64 squared distance lies beyond it. The level bounds are
+# rounded up to float32 (_SCREEN_BOUNDS, which ends in 0.0 for a pair
+# beyond the band's edge and every level's), so each screened pair bound is
+# at least the float64 one.
+_SCREEN_MARGIN = 2.0**-18
+_SCREEN_BOUNDS = np.append(_LEVEL_BOUNDS.astype(np.float32), np.float32(0.0))
+_SCREEN_BOUNDS[:-1] = np.where(
+    _SCREEN_BOUNDS[:-1] < _LEVEL_BOUNDS,
+    np.nextafter(_SCREEN_BOUNDS[:-1], np.float32(2.0)),
+    _SCREEN_BOUNDS[:-1],
+)
+# One float32 product in OpenBLAS over a (100, 2606) batch took 1.08 ms on
+# two threads, in column blocks of at most this many cells 75 us on one
+# (2-CPU x86 host): blocks keep each product under its threading threshold.
+_SCREEN_BLOCK = 16384
+
 # A band is thin when at most this share of a candidate batch's (receiver,
 # point) pairs lie in it, or of the (receiver, start) pairs a walk can reach
 # at its first step (_reachable). _theta_batch then scores every point from
@@ -217,16 +250,15 @@ class _Scratch:
     ``get`` of its name.
     Stages share a name only between arrays that are never alive at once:
 
-    - "d2": a batch's squared distances (receivers, points), then its pair
-      bounds; then per pair its column, y offset and true distance, and the
-      score matrix.
+    - "d2": a batch's squared distances (receivers, points), float32 in the
+      screen and then its pair bounds; then per pair its column, y offset
+      and true distance, and the score matrix.
     - "work": gathered receiver coordinates and band edges, and the squared
-      y distances; then the level edges, and the level indices; then per
-      pair the claims' coordinates and the channel's output.
-    - "pairs": per pair the claimed distance.
-    - "inside" and "mask": in-band masks; "mask" also holds the level
-      counts of ``_pair_bounds``, and the columns ``_score_columns`` copies
-      for ``_scores``.
+      y distances; the screen's level indices; then per pair the claims'
+      coordinates and the channel's output.
+    - "pairs": the screen's gathered edges; per pair the claimed distance.
+    - "inside" and "mask": in-band masks, or the screen's kept pairs; "mask"
+      also holds the screen's comparisons and level counts.
     """
 
     # bytes per cell: the float arrays above, the masks, and two level counts
@@ -249,6 +281,7 @@ def _theta_batch(
     owner,
     top: int | None = None,
     scratch: _Scratch | None = None,
+    frame: _Frame | None = None,
 ) -> np.ndarray:
     """Expected number of deceived receivers for each point.
 
@@ -264,31 +297,43 @@ def _theta_batch(
     its pairs in band is summed from its list of in-band pairs instead
     (``_thin_scores``), to the same bits.
 
-    With ``top``, a wider batch gives only the points that can rank among
-    the ``top`` best their exact value, the others -inf, so ``_ranked``
-    picks the same ``top`` points as over every exact value. Points reach
-    the channel in order of an upper bound (``_bounds``): first the ``top``
-    highest, whose lowest exact value is the floor, then every other point
-    whose bound reaches the floor, ties included. The rest cannot beat the
-    floor. A thin batch scores every point, as without ``top``.
+    With ``top``, a batch of more than ``top`` points is first screened in
+    float32 (``_screen``), which keeps a superset of its in-band pairs. A
+    batch that keeps at most ``_THIN_SHARE`` of its pairs sums every point
+    from the kept pairs that the exact test finds in band. A wider batch
+    gives only the points that can rank among the ``top`` best their exact
+    value, the others -inf, so ``_ranked`` picks the same ``top`` points as
+    over every exact value. Points reach the channel in order of the
+    screen's upper bound (``_screen_bounds``): first the ``top`` highest,
+    whose lowest exact value is the floor, then every other point whose
+    bound reaches the floor, ties included. The rest cannot beat the floor.
+    Any superset and any valid bound give the same exact values and the
+    same ``top`` points.
 
     Large temporaries come from ``scratch`` (``_Scratch``), which must hold
     (receivers, points) cells; a search passes its own to every batch, and
-    without one the call sizes one for this batch.
+    without one the call sizes one for this batch. The screen works in
+    ``frame`` (``_Frame``), which must hold every point; a search passes
+    one for its region, and without one the call takes the batch's box.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     scratch = _Scratch(rx.r.shape[0] * len(pts)) if scratch is None else scratch
-    d2, inside = _in_band(rx, pts, owner, scratch)
+    screened = top is not None and len(pts) > top
+    if screened:
+        frame = _frame(rx, pts.min(axis=0), pts.max(axis=0)) if frame is None else frame
+        inside, d2, levels = _screen(rx, pts, owner, frame, scratch)
+    else:
+        inside = _in_band(rx, pts, owner, scratch)
     if np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
         return _thin_scores(params, rx, pts, owner, inside, scratch)
-    if top is None or len(pts) <= top:
+    if not screened:
         return _scores(params, rx, pts, owner, inside, scratch)
-    bound = _bounds(rx, d2, inside, owner, scratch)
+    bound = _screen_bounds(inside, d2, levels, scratch)[1]
     values = np.full(len(pts), -np.inf)
     first = np.sort(np.argsort(bound, kind="stable")[-top:])
-    values[first] = _score_columns(params, rx, pts, owner, inside, first, scratch)
+    values[first] = _score_columns(params, rx, pts, owner, first, scratch)
     rest = np.setdiff1d(np.flatnonzero(bound >= values[first].min()), first, assume_unique=True)
-    values[rest] = _score_columns(params, rx, pts, owner, inside, rest, scratch)
+    values[rest] = _score_columns(params, rx, pts, owner, rest, scratch)
     return values
 
 
@@ -309,12 +354,10 @@ def _receiver_columns(rx: _Receivers, k: int, owner, out=None) -> np.ndarray:
     return _columns(rx.coords[k], 0 if rx.gp.ndim == 2 else owner, out)
 
 
-def _in_band(
-    rx: _Receivers, pts: np.ndarray, owner, scratch: _Scratch
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared distances (receivers, points), and which of those pairs lie
-    inside the band of the point's faker: views into ``scratch``'s "d2"
-    and "inside"."""
+def _in_band(rx: _Receivers, pts: np.ndarray, owner, scratch: _Scratch) -> np.ndarray:
+    """Which (receiver, point) pairs (receivers, points) lie inside the
+    band of the point's faker, by their squared distance: a view into
+    ``scratch``'s "inside"."""
     shape = (rx.r.shape[0], len(pts))
     d2, work = scratch.get("d2", shape), scratch.get("work", shape)
     np.subtract(_receiver_columns(rx, 0, owner, work), pts[:, 0], out=d2)
@@ -328,7 +371,105 @@ def _in_band(
     inside &= np.less_equal(
         d2, _columns(rx.far2, owner, work), out=scratch.get("mask", shape, bool)
     )
-    return d2, inside
+    return inside
+
+
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """What the float32 screen needs of a search, for batches whose
+    receivers and points all lie in one box: its ``centre`` and ``inv``,
+    1 / the largest offset from the centre; each receiver set's factors
+    ``lhs`` (sets, receivers, 4), (-2x, -2y, x^2 + y^2, 1) in the frame,
+    one set for a shared one; and ``edges`` (2, levels + 1, receivers,
+    fakers), the band's and the levels' squared edges, near and far, in the
+    frame, each moved out by ``_SCREEN_MARGIN``, float32."""
+
+    centre: np.ndarray
+    inv: float
+    lhs: np.ndarray
+    edges: np.ndarray
+
+
+def _frame(rx: _Receivers, lo, hi) -> _Frame:
+    """The screen's frame for the box that holds ``rx``'s receivers and the
+    corners ``lo`` and ``hi``."""
+    lo = np.minimum(rx.coords.min(axis=(1, 2)), lo)
+    hi = np.maximum(rx.coords.max(axis=(1, 2)), hi)
+    centre = (lo + hi) / 2.0
+    # rounding is monotone and symmetric, so no |x - centre| exceeds this
+    inv = 1.0 / (max(np.max(hi - centre), np.max(centre - lo)) or 1.0)
+    g = (rx.coords[:, :, : 1 if rx.gp.ndim == 2 else None] - centre[:, None, None]) * inv
+    lhs = np.empty((g.shape[2], g.shape[1], 4), np.float32)
+    lhs[..., :2] = g.T
+    lhs[..., :2] *= -2.0
+    lhs[..., 2], lhs[..., 3] = np.square(g).sum(axis=0).T, 1.0
+    # near and far, each the band's edge and then the levels'
+    near = np.concatenate([rx.near2[None], rx.level_near2])
+    edges = np.stack([near, np.concatenate([rx.far2[None], rx.level_far2])])
+    margin = np.array([-_SCREEN_MARGIN, _SCREEN_MARGIN])[:, None, None, None]
+    edges = np.minimum(edges * inv * inv + margin, 16.0).astype(np.float32)
+    return _Frame(centre, inv, lhs, edges)
+
+
+def _screen(
+    rx: _Receivers, pts: np.ndarray, owner, frame: _Frame, scratch: _Scratch
+) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Float32 screen of a batch's (receiver, point) pairs in ``frame``:
+    which may lie in band, a superset of ``_in_band``'s pairs (a view into
+    ``scratch``'s "inside"), and the squared distances (float32, in "d2")
+    and level edges that ``_screen_bounds`` reads."""
+    shape, scalar = (rx.r.shape[0], len(pts)), np.ndim(owner) == 0
+    q = (pts.T - frame.centre[:, None]) * frame.inv
+    rhs = np.empty((4, len(pts)), np.float32)
+    rhs[:2], rhs[2], rhs[3] = q, 1.0, q[0] * q[0] + q[1] * q[1]
+    # d2 = |g|^2 + |p|^2 - 2 g.p, one matrix product of the factors
+    d2 = scratch.get("d2", shape, np.float32)
+    if scalar or len(frame.lhs) == 1:
+        lhs = frame.lhs[0 if len(frame.lhs) == 1 else owner]
+        width = max(1, _SCREEN_BLOCK // shape[0])
+        for at in range(0, len(pts), width):
+            np.matmul(lhs, rhs[:, at : at + width], out=d2[:, at : at + width])
+    else:
+        for f in np.unique(owner):
+            at = np.flatnonzero(owner == f)
+            d2[:, at] = frame.lhs[f] @ rhs[:, at]
+    # near and far: the band's edge, then each level's
+    edges, part = (frame.edges[..., owner, None], 0) if scalar else (frame.edges, owner)
+    (near, *level_near), (far, *level_far) = edges
+    gathered = scratch.get("pairs", shape, np.float32)
+    inside = np.greater_equal(
+        d2, _columns(near, part, gathered), out=scratch.get("inside", shape, bool)
+    )
+    inside &= np.less_equal(
+        d2, _columns(far, part, gathered), out=scratch.get("mask", shape, bool)
+    )
+    return inside, d2, (level_near, level_far, part)
+
+
+def _screen_bounds(
+    inside: np.ndarray, d2: np.ndarray, levels, scratch: _Scratch
+) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds from a batch's ``_screen``: each pair's (receivers,
+    points), float32 in ``scratch``'s "d2", which ``d2`` may hold, and
+    each point's, its pairs' bounds summed in float64.
+
+    A pair takes ``_SCREEN_BOUNDS`` at the count of edges it lies beyond:
+    the band's, then each level's. On one side of a receiver the edges
+    nest, so the count is the highest level passed; where rounded edges
+    tie out of order, the count is lower and its bound higher. A pair
+    beyond the band's edge and every level's scores 0.0."""
+    near, far, part = levels
+    counts = scratch.get("mask", (2, *d2.shape), np.uint8)
+    level, beyond = counts[0], counts[1].view(bool)
+    np.logical_not(inside, out=level.view(bool))
+    gathered = scratch.get("pairs", d2.shape, np.float32)
+    for level_near, level_far in zip(near, far):
+        level += np.less(d2, _columns(level_near, part, gathered), out=beyond).view(np.uint8)
+        level += np.greater(d2, _columns(level_far, part, gathered), out=beyond).view(np.uint8)
+    index = scratch.get("work", d2.shape, np.intp)
+    index[...] = level
+    pairs = _SCREEN_BOUNDS.take(index, out=scratch.get("d2", d2.shape, np.float32), mode="clip")
+    return pairs, pairs.sum(axis=0, dtype=np.float64) * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
 
 
 def _scores(
@@ -376,18 +517,13 @@ def _score_columns(
     rx: _Receivers,
     pts: np.ndarray,
     owner,
-    inside: np.ndarray,
     cols: np.ndarray,
     scratch: _Scratch,
 ) -> np.ndarray:
     """``_scores`` of the points ``pts[cols]``, claimed by ``owner`` as
-    ``_columns``, from those columns of the in-band mask ``inside``
-    (receivers, points). The columns are copied into ``scratch``'s "mask",
-    so ``inside`` may live in "inside"."""
-    mask = scratch.get("mask", (len(inside), len(cols)), bool)
-    np.take(inside, cols, axis=1, out=mask, mode="clip")
-    part = owner if np.ndim(owner) == 0 else owner[cols]
-    return _scores(params, rx, pts[cols], part, mask, scratch)
+    ``_columns``, from their own ``_in_band`` test."""
+    part, pts = (owner if np.ndim(owner) == 0 else owner[cols]), pts[cols]
+    return _scores(params, rx, pts, part, _in_band(rx, pts, part, scratch), scratch)
 
 
 def _pair_sums(
@@ -419,46 +555,25 @@ def _thin_scores(
     inside: np.ndarray,
     scratch: _Scratch,
 ) -> np.ndarray:
-    """``_scores`` from the list of ``inside``'s pairs (``_pair_sums``); a
-    point with more than two goes through ``_score_columns``."""
+    """``_scores`` from the pairs of ``inside``, any superset of the in-band
+    pairs: each listed pair takes ``_in_band``'s own ``d2`` and test, and
+    the pairs in band are summed by ``_pair_sums``; a point with more than
+    two goes through ``_score_columns``."""
     # flatnonzero and divmod outpace a 2-D nonzero several times over
     rcv, cols = np.divmod(np.flatnonzero(inside), inside.shape[1])
-    band = owner if np.ndim(owner) == 0 else owner[cols]
-    gx, gy = rx.coords[:, rcv, band]
+    # each pair's entry in the (receivers, fakers) tables of rx
+    at = rcv * rx.r.shape[1] + (owner if np.ndim(owner) == 0 else owner[cols])
+    dx = rx.coords[0].take(at) - pts[cols, 0]
+    dy = rx.coords[1].take(at) - pts[cols, 1]
+    d2 = dx * dx + dy * dy
+    band = (d2 >= rx.near2.take(at)) & (d2 <= rx.far2.take(at))
     values, many = _pair_sums(
-        params, rx.r[rcv, band], gx - pts[cols, 0], gy - pts[cols, 1], cols, len(pts)
+        params, rx.r.take(at[band]), dx[band], dy[band], cols[band], len(pts)
     )
     many = np.flatnonzero(many)
     if len(many):
-        values[many] = _score_columns(params, rx, pts, owner, inside, many, scratch)
+        values[many] = _score_columns(params, rx, pts, owner, many, scratch)
     return values
-
-
-def _pair_bounds(rx: _Receivers, d2, owner, scratch: _Scratch) -> np.ndarray:
-    """Upper bound on the deception probability of each pair, from the
-    squared claimed distances ``d2`` (receivers, points) of points claimed
-    by ``owner``, as ``_columns``. The level counts take ``scratch``'s
-    "mask", the gathered level edges and the counts' indices "work" and the
-    result "d2", so ``d2`` may live in "d2"."""
-    counts = scratch.get("mask", (2, *np.shape(d2)), np.uint8)
-    level, outside = counts[0], counts[1].view(bool)
-    level.fill(0)
-    work = scratch.get("work", np.shape(d2))
-    for near2, far2 in zip(rx.level_near2, rx.level_far2):
-        level += np.less(d2, _columns(near2, owner, work), out=outside).view(np.uint8)
-        level += np.greater(d2, _columns(far2, owner, work), out=outside).view(np.uint8)
-    index = scratch.get("work", level.shape, np.intp)
-    index[...] = level
-    return _LEVEL_BOUNDS.take(index, out=scratch.get("d2", level.shape), mode="clip")
-
-
-def _bounds(rx: _Receivers, d2, inside, owner, scratch: _Scratch) -> np.ndarray:
-    """Upper bound on each point's exact score, from the squared distances
-    ``d2`` (receivers, points) of its in-band pairs ``inside``: its pairs'
-    bounds summed in receiver order."""
-    pairs = _pair_bounds(rx, d2, owner, scratch)
-    pairs *= inside
-    return pairs.sum(axis=0) * (1.0 + _BOUND_SLACK) + _BOUND_SLACK
 
 
 def theta_for_fake(
@@ -731,15 +846,17 @@ def optimize_fake_positions(
     geometry candidates (pairwise circle crossings and points on each
     equal-range circle, which carry the optima when the noise band is too
     thin for any grid), filtered to the feasible set, then greedy compass
-    refinement with step halving from the top few candidates. In a thin
-    band (``_THIN_SHARE``) every candidate is scored, and all fakers'
-    refinements walk in lockstep tested only against the receivers a move
-    can reach (``_refine_live``). In a wider band only the candidates whose
-    upper bound can rank them among the top few are scored
-    (``_theta_batch``), and all refinements walk in lockstep against every
-    receiver (``_refine``). Both walks score in batches that hold no more
-    points than the largest candidate set, end byte-equal, and give each
-    faker exactly the outcome it would get searched alone.
+    refinement with step halving from the top few candidates. Each faker's
+    candidates are first screened in float32, in one frame for the region
+    (``_frame``, ``_screen``). In a thin band (``_THIN_SHARE``) every
+    candidate is scored, and all fakers' refinements walk in lockstep
+    tested only against the receivers a move can reach (``_refine_live``).
+    In a wider band only the candidates whose screened upper bound can rank
+    them among the top few are scored (``_theta_batch``), and all
+    refinements walk in lockstep against every receiver (``_refine``).
+    Both walks score in batches that hold no more points than the largest
+    candidate set, end byte-equal, and give each faker exactly the outcome
+    it would get searched alone.
 
     Every choice, of starts, of moves and of the fake, takes the highest
     value and breaks ties toward the lowest (x, y) (``_ranked``). A point
@@ -786,12 +903,13 @@ def optimize_fake_positions(
     # batches hold no more points
     most = max(np.count_nonzero(on_grid) + len(extra) for on_grid, extra in geometry)
     scratch = _Scratch(rx.r.shape[0] * most)
+    frame = _frame(rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
     starts = []
     for f, (on_grid, extra) in enumerate(geometry):
         cands = np.concatenate([grid[on_grid], extra])
         # refine from the strongest few starts; cheap insurance against the
         # greedy walk stalling on a local ridge
-        values = _theta_batch(params, rx, cands, f, top=REFINE_STARTS, scratch=scratch)
+        values = _theta_batch(params, rx, cands, f, REFINE_STARTS, scratch, frame)
         top = _top(cands, values, REFINE_STARTS)
         starts.append((cands[top], values[top], np.full(len(top), f)))
     del geometry

@@ -7,7 +7,8 @@ that is absent takes the field's default, a value that is already an
 instance of its type passes through, an ``int`` takes only an integer and
 a ``float`` only a number (neither takes a bool; a ``float`` keeps a JSON
 integer as it is), a ``str`` only a string, and a tuple or frozenset only
-an array; an error inside a field or dict value names its key. Each write
+an array; an error inside a field or dict value names its key, by dotted
+path when the value is nested (``region.x_max``). Each write
 goes to a temp file of its own, ``<name>.<random hex>.tmp`` next to the
 target, and is renamed into place, so a reader never sees half a file and
 writers of one path never share a temp file; the temp file is removed when
@@ -78,10 +79,16 @@ def from_json(tp, data):
 
 
 def _from_json_at(key, tp, data):
+    """``from_json`` of the value at ``key``. An error names its key, and
+    one inside nested values names their keys' dotted path, ``a.b.c``."""
     try:
         return from_json(tp, data)
     except (TypeError, ValueError) as exc:
-        raise type(exc)(f"{key}: {exc}") from None
+        inner = getattr(exc, "key", None)
+        path, reason = (f"{key}.{inner}", exc.reason) if inner else (str(key), str(exc))
+        err = type(exc)(f"{path}: {reason}")
+        err.key, err.reason = path, reason
+        raise err from None
 
 
 def read_json(path, what: str, decode):

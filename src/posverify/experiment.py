@@ -42,7 +42,7 @@ class NoiseMode:
 
     def __post_init__(self) -> None:
         if self.mode not in NOISE_MODES:
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+            raise ValueError(f"mode must be one of {sorted(NOISE_MODES)}, got {self.mode!r}")
         if self.sigma is not None and not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.mode == "explicit":
@@ -93,7 +93,9 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.filter_mode not in FILTER_MODES:
-            raise ValueError(f"unknown filter mode {self.filter_mode!r}")
+            raise ValueError(
+                f"filter_mode must be one of {sorted(FILTER_MODES)}, got {self.filter_mode!r}"
+            )
         if self.signal.noise_sigma != 0.0:
             raise ValueError("set noise through noise_mode, not on signal")
         if self.calibration_positions < 1 or self.calibration_sets < 1:
@@ -147,7 +149,10 @@ def config_from_dict(d) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown ExperimentConfig keys {[f'calibration.{k}' for k in unknown]}")
     for k, v in calibration.items():
-        d[f"calibration_{k}"] = _from_json_at(f"calibration.{k}", int, v)
+        count = _from_json_at(f"calibration.{k}", int, v)
+        if count < 1:
+            raise ValueError(f"calibration.{k}: must be positive, got {count}")
+        d[f"calibration_{k}"] = count
     return from_json(ExperimentConfig, d)
 
 

@@ -19,12 +19,11 @@ from posverify.adversary import (
     REFINE_STARTS,
     FakingSearchConfig,
     Region,
-    _bounds,
     _circle_points,
     _feasible,
+    _frame,
     _grid_points,
     _in_band,
-    _pair_bounds,
     _pair_reflections,
     _ranked,
     _reachable,
@@ -33,6 +32,8 @@ from posverify.adversary import (
     _refine,
     _refine_live,
     _Scratch,
+    _screen,
+    _screen_bounds,
     _theta_batch,
     _thin_scores,
     _top,
@@ -355,9 +356,9 @@ def dense_theta_batch(params, true_position, genuine_positions, points):
 NOISE_LEVELS = ("zero", "1e-30", "negligible", "significant", "huge")
 
 
-def noise_params(exponent, level):
+def noise_params(exponent, level, region=REGION):
     base = SignalParams(transmit_power=1.0, wavelength=0.125, path_loss_exponent=exponent)
-    scale = ideal_received_power(base, REGION.diagonal) / 3.0
+    scale = ideal_received_power(base, region.diagonal) / 3.0
     sigma = {
         "zero": 0.0,
         "1e-30": 1e-30,
@@ -524,61 +525,87 @@ class TestThinScores:
         assert h.hexdigest() == digest
 
 
+# the unit test square, one far from the origin, and squares at millimetre
+# and ten-kilometre scale, where the screen's frame is centred and scaled
+EDGE_REGIONS = [
+    REGION,
+    Region(1e5, 1e5 + 100.0, 2e5, 2e5 + 100.0),
+    Region(0.0, 1e-3, 0.0, 1e-3),
+    Region(3e4, 4e4, -1e4, 0.0),
+]
+
+
 @st.composite
 def edge_instances(draw):
     exponent = draw(st.sampled_from([2.0, 2.5, 3.0, 4.0]))
+    region = draw(st.sampled_from(EDGE_REGIONS))
     # "huge" sits above transmit_power / 48, where no band has a far edge
-    params = noise_params(
-        exponent, draw(st.sampled_from(["1e-30", "negligible", "significant", "huge"]))
-    )
+    level = draw(st.sampled_from(["1e-30", "negligible", "significant", "huge"]))
+    params = noise_params(exponent, level, region)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    gp = REGION.sample(rng, draw(st.integers(1, 12)))
-    x0s = REGION.sample(rng, draw(st.integers(1, 3)))
-    return params, x0s, gp, rng
+    gp = region.sample(rng, draw(st.integers(1, 12)))
+    x0s = region.sample(rng, draw(st.integers(1, 3)))
+    return params, region, x0s, gp, rng
 
 
-def level_edge_claims(rx):
-    """Every squared level edge of every (receiver, faker), and one ulp
-    either side of it, as (d2, receiver, faker) of the in-band ones."""
-    edges = np.concatenate([rx.level_near2, rx.level_far2])
-    d2 = np.stack([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)])
+def edge_claims(rx, region, rng):
+    """Claims around every squared edge of every (receiver, faker), the
+    band's and each level's: on it, one ulp either side, and a half, one
+    and two screen margins either side in the region's frame. Returns the
+    frame, and the claims in the region with the receiver and faker each
+    was placed for."""
+    frame = _frame(rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
+    edges = np.stack([rx.near2, rx.far2, *rx.level_near2, *rx.level_far2])
+    steps = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * adversary._SCREEN_MARGIN / frame.inv**2
+    d2 = np.concatenate(
+        [
+            np.stack([np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf)]),
+            edges + steps[:, None, None, None],
+        ]
+    )
     rows, bands = np.broadcast_arrays(
         np.arange(rx.r.shape[0])[:, None], np.arange(rx.r.shape[1])[None, :]
     )
     rows, bands = (np.broadcast_to(a, d2.shape) for a in (rows, bands))
-    keep = (d2 > 0.0) & (d2 >= rx.near2[rows, bands]) & (d2 <= rx.far2[rows, bands])
-    return d2[keep], rows[keep], bands[keep]
+    keep = np.isfinite(d2) & (d2 > 0.0)
+    d2, rows, bands = d2[keep], rows[keep], bands[keep]
+    angles = rng.uniform(0.0, 2.0 * np.pi, len(d2))
+    unit = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    pts = rx.coords[:, rows, bands].T + np.sqrt(d2)[:, None] * unit
+    inside = region.contains(pts)
+    return frame, pts[inside], rows[inside], bands[inside]
+
+
+def exact_pair_probs(params, rx, pts, bands):
+    """Each (receiver, point) pair's deception probability, (receivers,
+    points), from the claimed distance as the scorer takes it."""
+    claimed = np.hypot(rx.coords[0][:, bands] - pts[:, 0], rx.coords[1][:, bands] - pts[:, 1])
+    return _deception_prob_arrays(params, rx.r[:, bands], claimed)
 
 
 class TestBounds:
+    # the float32 screen's bounds (_screen_bounds) against exact values
     @given(edge_instances())
     def test_pair_bound_holds_at_every_level_edge(self, instance):
-        params, x0s, gp, _ = instance
+        params, region, x0s, gp, rng = instance
         rx = _receivers(params, x0s, gp)
-        d2, rows, bands = level_edge_claims(rx)
-        # each claim a point of its own faker, with its d2 on its receiver's row
-        claims = np.arange(len(d2))
-        batch = np.zeros((rx.r.shape[0], len(d2)))
-        batch[rows, claims] = d2
-        bound = _pair_bounds(rx, batch, bands, _Scratch(batch.size))[rows, claims]
-        p = _deception_prob_arrays(params, rx.r[rows, bands], np.sqrt(d2))
-        assert np.all(bound >= p)
+        frame, pts, _, bands = edge_claims(rx, region, rng)
+        # each claim a point of its own faker; every pair of it is bounded
+        scratch = _Scratch(rx.r.shape[0] * len(pts))
+        pairs = _screen_bounds(*_screen(rx, pts, bands, frame, scratch), scratch)[0]
+        assert np.all(pairs >= exact_pair_probs(params, rx, pts, bands))
 
     @given(edge_instances())
     def test_point_bound_holds_for_claims_on_level_edges(self, instance):
-        params, x0s, gp, rng = instance
+        params, region, x0s, gp, rng = instance
         rx = _receivers(params, x0s, gp)
-        d2, rows, bands = level_edge_claims(rx)
-        angles = rng.uniform(0.0, 2.0 * np.pi, len(d2))
-        pts = gp[rows] + np.sqrt(d2)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        frame, pts, _, bands = edge_claims(rx, region, rng)
         scratch = _Scratch(rx.r.shape[0] * len(pts))
         for f in range(len(x0s)):
-            d2f, inside = _in_band(rx, pts, f, scratch)
-            bound = _bounds(rx, d2f, inside, f, scratch)
+            bound = _screen_bounds(*_screen(rx, pts, f, frame, scratch), scratch)[1]
             assert np.all(bound >= _theta_batch(params, rx, pts, f))
         # mixed owners: each point bounded with its own faker's edges
-        d2m, inside = _in_band(rx, pts, bands, scratch)
-        bound = _bounds(rx, d2m, inside, bands, scratch)
+        bound = _screen_bounds(*_screen(rx, pts, bands, frame, scratch), scratch)[1]
         assert np.all(bound >= _theta_batch(params, rx, pts, bands))
 
     def test_no_in_band_pair_bounds_just_above_zero(self):
@@ -588,10 +615,61 @@ class TestBounds:
         rx = _receivers(params, (80.0, 80.0), [(20.0, 60.0)])
         pts = np.array([(100.0, 0.0), (50.0, 50.0)])
         scratch = _Scratch(rx.r.shape[0] * len(pts))
-        d2, inside = _in_band(rx, pts, 0, scratch)
+        inside, d2, levels = _screen(rx, pts, 0, _frame(rx, (0.0, 0.0), (100.0, 100.0)), scratch)
         assert not inside.any()
-        bound = _bounds(rx, d2, inside, 0, scratch)
+        bound = _screen_bounds(inside, d2, levels, scratch)[1]
         assert np.all(bound > 0.0) and np.all(bound < 1e-6)
+
+
+class TestScreen:
+    @given(edge_instances())
+    def test_keeps_every_pair_in_band(self, instance):
+        # claims on and around every band edge, in the region's frame and in
+        # the frame of the batch's own box, with one faker or mixed owners
+        params, region, x0s, gp, rng = instance
+        rx = _receivers(params, x0s, gp)
+        frame, pts, _, bands = edge_claims(rx, region, rng)
+        scratch = _Scratch(rx.r.shape[0] * len(pts))
+        box = _frame(rx, pts.min(axis=0), pts.max(axis=0)) if len(pts) else frame
+        for owner, within in itertools.product([0, bands], [frame, box]):
+            exact = _in_band(rx, pts, owner, _Scratch(scratch.cells)).copy()
+            kept = _screen(rx, pts, owner, within, scratch)[0]
+            assert not (exact & ~kept).any()
+        assert exact.any() or not len(pts)
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "1c836ac24388ebab39fc4e616ab33d4cb583ed3a326168ecbafc9490445f3f45"),
+            (1, "b3f2324dd563607eefda0fcbe006b435487bf64912919b4c90d4af45913e4d4d"),
+            (2, "979ede4bc8ecc1934bad68ed423deccb9583f79c0b85aa7684a78d7bebf0cf41"),
+            (3, "fc573980453a424a678589a3b62548ac5379679a3de3cc1f4af59806c2c2b26b"),
+        ],
+    )
+    def test_significant_noise_deploys_keep_their_outcomes(self, seed, digest):
+        # sha256 of every faker's fake, value and per-node probabilities, as
+        # the float64 level bounds gave them
+        cfg = PRESETS["sig-noise-q-55"]
+        nodes = deploy(cfg, seed)
+        genuine = [n.true_position for n in nodes[: cfg.n0]]
+        truths = [n.true_position for n in nodes[cfg.n0 :]]
+        outcomes = optimize_fake_positions(
+            cfg.resolved_signal(), cfg.region, truths, genuine, cfg.faking
+        )
+        h = hashlib.sha256()
+        for o in outcomes:
+            h.update(np.array(o.fake_position).tobytes())
+            h.update(np.float64(o.expected_deceived).tobytes())
+            h.update(np.array(o.per_node_probs).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_significant_calibration_chunk_keeps_its_values(self):
+        # 25 cells of an n=200 table in significant noise, 100 receivers each
+        meta = PRESETS["sig-noise-62"].calibration_meta()
+        values = _calibration_chunk((meta, math.ceil(200 / 2), range(25)))
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
+            "79536da016ba33213db069c40ffdec57e1a5169149f34a132379eaebbcb5d314"
+        )
 
 
 class TestZeroBand:
@@ -694,10 +772,10 @@ def recorded_calls(monkeypatch, *names):
 
 class TestPrunedTop:
     # only batches wider than _THIN_SHARE are bound-pruned; each test that
-    # draws or holds such batches checks that they reach _bounds
+    # draws or holds such batches checks that they reach _screen_bounds
 
     def test_same_top_as_scoring_every_candidate(self, monkeypatch):
-        calls = recorded_calls(monkeypatch, "_bounds")
+        calls = recorded_calls(monkeypatch, "_screen_bounds")
 
         @given(top_instances())
         def check(instance):
@@ -711,7 +789,7 @@ class TestPrunedTop:
         assert calls
 
     def test_ties_at_the_floor_reach_the_tie_break(self, monkeypatch):
-        calls = recorded_calls(monkeypatch, "_bounds")
+        calls = recorded_calls(monkeypatch, "_screen_bounds")
         # mirror-symmetric receivers and duplicated candidates: the fifth
         # best value is shared by points that only (x, y) tells apart
         params = noise_params(2.0, "significant")
@@ -749,7 +827,7 @@ class TestPrunedTop:
         params = cfg.resolved_signal()
         nodes = deploy(cfg, 0)
         genuine = np.array([n.true_position for n in nodes[: cfg.n0]])
-        calls = recorded_calls(monkeypatch, "_bounds")
+        calls = recorded_calls(monkeypatch, "_screen_bounds")
         for node in nodes[cfg.n0 :: 7]:
             pts = search_candidates(params, node.true_position, genuine, cfg.faking)
             rx = _receivers(params, node.true_position, genuine)
@@ -1200,28 +1278,33 @@ class TestRefineWalks:
         # negligible noise puts about 2% of candidate pairs in band and leaves
         # about 9% of (receiver, start) pairs reachable at the first step;
         # significant noise about 50% and 72%
-        calls = recorded_calls(monkeypatch, "_bounds", "_refine", "_refine_live")
+        screens = ("_screen", "_screen_bounds")
+        calls = recorded_calls(monkeypatch, *screens, "_refine", "_refine_live")
         # each _theta_batch call of the dense walk: its points, and the most
         # its scratch is sized for
         batches = []
         inner = adversary._theta_batch
 
-        def recorded(params, rx, points, owner, top=None, scratch=None):
+        def recorded(params, rx, points, owner, top=None, scratch=None, frame=None):
             if "_refine" in calls:
                 batches.append((len(points), scratch.cells // rx.r.shape[0]))
-            return inner(params, rx, points, owner, top, scratch)
+            return inner(params, rx, points, owner, top, scratch, frame)
 
         monkeypatch.setattr(adversary, "_theta_batch", recorded)
         deploy(PRESETS[name], 0)
-        walks = [c for c in calls if c != "_bounds"]
+        walks = [c for c in calls if c not in screens]
         # either walk takes every start in one call
         assert set(walks) == {walk}
         assert len(walks) == 1
         # the dense walk's batches fit the search's scratch
         assert bool(batches) == (walk == "_refine")
         assert all(points <= most for points, most in batches)
-        # thin candidate batches are scored exactly, wide ones bound-pruned
-        assert ("_bounds" in calls) == (walk == "_refine")
+        # every candidate batch is screened, and each of them before the walk;
+        # thin ones are scored exactly, wide ones bound-pruned
+        first = calls.index(walk)
+        assert calls[:first].count("_screen") == PRESETS[name].n - PRESETS[name].n0
+        assert "_screen" not in calls[first:]
+        assert ("_screen_bounds" in calls) == (walk == "_refine")
 
 
 @st.composite

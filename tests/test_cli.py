@@ -164,7 +164,7 @@ class TestBadInputs:
         path = _edited(config_path, tmp_path, ("region", "x_max"), True)
         assert main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"error: bad config {path}: region: x_max: expected a number, got True" in err
+        assert f"error: bad config {path}: region.x_max: expected a number, got True" in err
 
     @pytest.mark.parametrize(
         "keys,value,why",

@@ -215,7 +215,7 @@ class TestDecoding:
              "region": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
              "faking": {"exclusion_radius": 0.2, "grid_step": 0.1, "refine_iters": 1.5},
              "num_x0": 1, "num_x_per_x0": 1, "seed": 0}
-        with pytest.raises(TypeError, match="^faking: refine_iters: expected an integer"):
+        with pytest.raises(TypeError, match="^faking.refine_iters: expected an integer"):
             from_json(CalibrationMeta, d)
         with pytest.raises(TypeError, match="^0.5: expected an integer, got 2.5"):
             from_json(dict[float, int], {"0.5": 2.5})

@@ -224,6 +224,50 @@ class TestConfigSerialization:
             load_config(path)
 
 
+def _leaves(d, keys=()):
+    """The key path of every value of ``d`` that is not an object."""
+    for k, v in d.items():
+        if isinstance(v, dict):
+            yield from _leaves(v, (*keys, k))
+        else:
+            yield (*keys, k)
+
+
+NEG_CONFIG = config_to_dict(PRESETS["neg-noise-52"])
+
+
+class TestConfigDecoding:
+    @pytest.mark.parametrize("value", [None, True, "x", [1], {}, -1, 0, 1.5], ids=json.dumps)
+    @pytest.mark.parametrize("keys", list(_leaves(NEG_CONFIG)), ids=".".join)
+    def test_every_leaf_loads_or_names_its_key(self, tmp_path, keys, value):
+        # a field's own check names it after the object that holds it
+        # ("faking: grid_step must be positive"), a decoding error by dotted
+        # path ("faking.grid_step: expected a number"); a check across fields
+        # names the object that holds them
+        d = json.loads(json.dumps(NEG_CONFIG))
+        *holder, leaf = keys
+        node = d
+        for k in holder:
+            node = node[k]
+        node[leaf] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        try:
+            load_config(path)
+        except ValueError as exc:
+            prefix = f"bad config {path}: "
+            why = str(exc).removeprefix(prefix)
+            assert str(exc).startswith(prefix) and "\n" not in why
+            need = "need 2 <= n0 <= n"
+            across = {"region": "region: degenerate region", "n": need, "n0": need}
+            named = (
+                f"{'.'.join(keys)}: ",
+                f"{'.'.join(holder)}: {leaf} " if holder else f"{leaf} ",
+                across.get(keys[0]),
+            )
+            assert why.startswith(tuple(filter(None, named))), why
+
+
 class TestDeploy:
     def test_layout_and_claims(self):
         cfg = tiny_config()
