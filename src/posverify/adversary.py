@@ -136,11 +136,11 @@ _LEVEL_BOUNDS = np.concatenate(
 )
 _BOUND_SLACK = 1e-9
 
-# The float32 screen (_screen) tests a candidate batch's pairs in a frame
-# (_frame): coordinates less a centre c, times 1/s, where s is the largest
-# |x - c| of any receiver or region corner (or point, for a batch scored
-# outside a search), so every coordinate lies in [-1, 1] and every squared
-# distance D in [0, 8]. With e = 2**-24, float32's unit roundoff (float64's
+# The float32 screen (_screen) tests a faker's candidate pairs in its
+# search's frame (_frame): coordinates less a centre c, times 1/s, where s
+# is the largest |x - c| of any receiver or corner of the search's region,
+# so every coordinate lies in [-1, 1] and every squared distance D in
+# [0, 8]. With e = 2**-24, float32's unit roundoff (float64's
 # rounding adds under 2**-27 e to each term below):
 # - a coordinate rounds to float32 within e;
 # - D is the float32 dot product of (-2gx, -2gy, |g|^2, 1) and
@@ -171,13 +171,13 @@ _SCREEN_BLOCK = 16384
 
 # A band is thin when at most this share of a candidate batch's (receiver,
 # point) pairs lie in it, or of the (receiver, start) pairs a walk can reach
-# at its first step (_reachable). _theta_batch then scores every point from
-# its list of in-band pairs, as the level bound would keep about the points
-# that have any, and the search walks with _refine_live; wider bands are
-# bound-pruned and walk with _refine. Measured on preset deploys and calibration chunks (2-CPU x86
-# host): in-band shares 0.011-0.023 in negligible noise and 0.42-0.64 in
-# significant noise; reachable shares 0.08-0.11 and 0.68-0.81. The cut sits
-# between both pairs.
+# at its first step (_reachable). _candidate_values then scores every point
+# from its list of in-band pairs, as the level bound would keep about the
+# points that have any, and the search walks with _refine_live; wider bands
+# are bound-pruned and walk with _refine. Measured on preset deploys and
+# calibration chunks (2-CPU x86 host): in-band shares 0.011-0.023 in
+# negligible noise and 0.42-0.64 in significant noise; reachable shares
+# 0.08-0.11 and 0.68-0.81. The cut sits between both pairs.
 _THIN_SHARE = 0.3
 
 
@@ -256,7 +256,7 @@ class _Scratch:
     - "work": gathered receiver coordinates and band edges, and the squared
       y distances; the screen's level indices; then per pair the claims'
       coordinates and the channel's output.
-    - "pairs": the screen's gathered edges; per pair the claimed distance.
+    - "pairs": per pair the claimed distance.
     - "inside" and "mask": in-band masks, or the screen's kept pairs; "mask"
       also holds the screen's comparisons and level counts.
     """
@@ -275,65 +275,69 @@ class _Scratch:
 
 
 def _theta_batch(
-    params: SignalParams,
-    rx: _Receivers,
-    points,
-    owner,
-    top: int | None = None,
-    scratch: _Scratch | None = None,
-    frame: _Frame | None = None,
+    params: SignalParams, rx: _Receivers, points, owner, scratch: _Scratch | None = None
 ) -> np.ndarray:
-    """Expected number of deceived receivers for each point.
+    """Expected number of deceived receivers for each point: the one exact
+    scorer.
 
     Point p is claimed by faker ``owner[p]``; a scalar ``owner`` claims
     them all. Only (receiver, point) pairs inside that faker's band reach
-    the channel. Every other pair scores exactly 0.0, as it would if
-    scored, so the sums are bit-identical to scoring every pair.
+    the channel (``_in_band``). Every other pair scores exactly 0.0, as it
+    would if scored, so the sums are bit-identical to scoring every pair.
 
     Each point's receivers are summed along contiguous memory, in numpy's
     pairwise order, which is also the order of a one-point batch and of a
     per-node probability row's ``sum()``. A point therefore scores the same
-    whatever else is in the batch. A batch with at most ``_THIN_SHARE`` of
-    its pairs in band is summed from its list of in-band pairs instead
-    (``_thin_scores``), to the same bits.
+    whatever else is in the batch.
 
-    With ``top``, a batch of more than ``top`` points is first screened in
-    float32 (``_screen``), which keeps a superset of its in-band pairs. A
-    batch that keeps at most ``_THIN_SHARE`` of its pairs sums every point
-    from the kept pairs that the exact test finds in band. A wider batch
-    gives only the points that can rank among the ``top`` best their exact
-    value, the others -inf, so ``_ranked`` picks the same ``top`` points as
-    over every exact value. Points reach the channel in order of the
-    screen's upper bound (``_screen_bounds``): first the ``top`` highest,
-    whose lowest exact value is the floor, then every other point whose
-    bound reaches the floor, ties included. The rest cannot beat the floor.
-    Any superset and any valid bound give the same exact values and the
-    same ``top`` points.
-
-    Large temporaries come from ``scratch`` (``_Scratch``), which must hold
-    (receivers, points) cells; a search passes its own to every batch, and
-    without one the call sizes one for this batch. The screen works in
-    ``frame`` (``_Frame``), which must hold every point; a search passes
-    one for its region, and without one the call takes the batch's box.
+    Large temporaries come from ``scratch`` (``_Scratch``): the points are
+    scored in batches of at most ``scratch.cells // receivers``. Without
+    one the call sizes one for all its points.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     scratch = _Scratch(rx.r.shape[0] * len(pts)) if scratch is None else scratch
-    screened = top is not None and len(pts) > top
-    if screened:
-        frame = _frame(rx, pts.min(axis=0), pts.max(axis=0)) if frame is None else frame
-        inside, d2, levels = _screen(rx, pts, owner, frame, scratch)
-    else:
-        inside = _in_band(rx, pts, owner, scratch)
+    width = max(1, scratch.cells // rx.r.shape[0])
+    values = np.empty(len(pts))
+    for at in (slice(lo, lo + width) for lo in range(0, len(pts), width)):
+        part = owner if np.ndim(owner) == 0 else owner[at]
+        inside = _in_band(rx, pts[at], part, scratch)
+        values[at] = _scores(params, rx, pts[at], part, inside, scratch)
+    return values
+
+
+def _candidate_values(
+    params: SignalParams,
+    rx: _Receivers,
+    pts: np.ndarray,
+    f: int,
+    scratch: _Scratch,
+    frame: _Frame,
+) -> np.ndarray:
+    """Faker ``f``'s candidate values, for ranking its ``REFINE_STARTS``
+    best: the search's one candidate scorer.
+
+    The batch is first screened in float32 in ``frame`` (``_screen``),
+    which keeps a superset of its in-band pairs. A batch that keeps at most
+    ``_THIN_SHARE`` of its pairs sums every point from the kept pairs that
+    the exact test finds in band (``_thin_scores``). A wider batch gives
+    only the points that can rank among the ``REFINE_STARTS`` best their
+    exact value, the others -inf, so ``_ranked`` picks the same points as
+    over every exact value. Points reach ``_theta_batch`` in order of the
+    screen's upper bound (``_screen_bounds``): first the ``REFINE_STARTS``
+    highest, whose lowest exact value is the floor, then every other point
+    whose bound reaches the floor, ties included. The rest cannot beat the
+    floor. Any superset and any valid bound give the same exact values and
+    the same top points.
+    """
+    inside, d2, levels = _screen(rx, pts, f, frame, scratch)
     if np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
-        return _thin_scores(params, rx, pts, owner, inside, scratch)
-    if not screened:
-        return _scores(params, rx, pts, owner, inside, scratch)
+        return _thin_scores(params, rx, pts, f, inside, scratch)
     bound = _screen_bounds(inside, d2, levels, scratch)[1]
     values = np.full(len(pts), -np.inf)
-    first = np.sort(np.argsort(bound, kind="stable")[-top:])
-    values[first] = _score_columns(params, rx, pts, owner, first, scratch)
+    first = np.sort(np.argsort(bound, kind="stable")[-REFINE_STARTS:])
+    values[first] = _theta_batch(params, rx, pts[first], f, scratch)
     rest = np.setdiff1d(np.flatnonzero(bound >= values[first].min()), first, assume_unique=True)
-    values[rest] = _score_columns(params, rx, pts, owner, rest, scratch)
+    values[rest] = _theta_batch(params, rx, pts[rest], f, scratch)
     return values
 
 
@@ -412,38 +416,27 @@ def _frame(rx: _Receivers, lo, hi) -> _Frame:
 
 
 def _screen(
-    rx: _Receivers, pts: np.ndarray, owner, frame: _Frame, scratch: _Scratch
+    rx: _Receivers, pts: np.ndarray, f: int, frame: _Frame, scratch: _Scratch
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Float32 screen of a batch's (receiver, point) pairs in ``frame``:
-    which may lie in band, a superset of ``_in_band``'s pairs (a view into
-    ``scratch``'s "inside"), and the squared distances (float32, in "d2")
-    and level edges that ``_screen_bounds`` reads."""
-    shape, scalar = (rx.r.shape[0], len(pts)), np.ndim(owner) == 0
+    """Float32 screen of faker ``f``'s (receiver, point) pairs in
+    ``frame``: which may lie in band, a superset of ``_in_band``'s pairs (a
+    view into ``scratch``'s "inside"), and the squared distances (float32,
+    in "d2") and level edges that ``_screen_bounds`` reads."""
+    shape = (rx.r.shape[0], len(pts))
     q = (pts.T - frame.centre[:, None]) * frame.inv
     rhs = np.empty((4, len(pts)), np.float32)
     rhs[:2], rhs[2], rhs[3] = q, 1.0, q[0] * q[0] + q[1] * q[1]
     # d2 = |g|^2 + |p|^2 - 2 g.p, one matrix product of the factors
     d2 = scratch.get("d2", shape, np.float32)
-    if scalar or len(frame.lhs) == 1:
-        lhs = frame.lhs[0 if len(frame.lhs) == 1 else owner]
-        width = max(1, _SCREEN_BLOCK // shape[0])
-        for at in range(0, len(pts), width):
-            np.matmul(lhs, rhs[:, at : at + width], out=d2[:, at : at + width])
-    else:
-        for f in np.unique(owner):
-            at = np.flatnonzero(owner == f)
-            d2[:, at] = frame.lhs[f] @ rhs[:, at]
-    # near and far: the band's edge, then each level's
-    edges, part = (frame.edges[..., owner, None], 0) if scalar else (frame.edges, owner)
-    (near, *level_near), (far, *level_far) = edges
-    gathered = scratch.get("pairs", shape, np.float32)
-    inside = np.greater_equal(
-        d2, _columns(near, part, gathered), out=scratch.get("inside", shape, bool)
-    )
-    inside &= np.less_equal(
-        d2, _columns(far, part, gathered), out=scratch.get("mask", shape, bool)
-    )
-    return inside, d2, (level_near, level_far, part)
+    lhs = frame.lhs[0 if len(frame.lhs) == 1 else f]
+    width = max(1, _SCREEN_BLOCK // shape[0])
+    for at in range(0, len(pts), width):
+        np.matmul(lhs, rhs[:, at : at + width], out=d2[:, at : at + width])
+    # near and far, (receivers, 1) each: the band's edge, then each level's
+    (near, *level_near), (far, *level_far) = frame.edges[..., f, None]
+    inside = np.greater_equal(d2, near, out=scratch.get("inside", shape, bool))
+    inside &= np.less_equal(d2, far, out=scratch.get("mask", shape, bool))
+    return inside, d2, (level_near, level_far)
 
 
 def _screen_bounds(
@@ -458,14 +451,12 @@ def _screen_bounds(
     nest, so the count is the highest level passed; where rounded edges
     tie out of order, the count is lower and its bound higher. A pair
     beyond the band's edge and every level's scores 0.0."""
-    near, far, part = levels
     counts = scratch.get("mask", (2, *d2.shape), np.uint8)
     level, beyond = counts[0], counts[1].view(bool)
     np.logical_not(inside, out=level.view(bool))
-    gathered = scratch.get("pairs", d2.shape, np.float32)
-    for level_near, level_far in zip(near, far):
-        level += np.less(d2, _columns(level_near, part, gathered), out=beyond).view(np.uint8)
-        level += np.greater(d2, _columns(level_far, part, gathered), out=beyond).view(np.uint8)
+    for level_near, level_far in zip(*levels):
+        level += np.less(d2, level_near, out=beyond).view(np.uint8)
+        level += np.greater(d2, level_far, out=beyond).view(np.uint8)
     index = scratch.get("work", d2.shape, np.intp)
     index[...] = level
     pairs = _SCREEN_BOUNDS.take(index, out=scratch.get("d2", d2.shape, np.float32), mode="clip")
@@ -512,68 +503,61 @@ def _scores(
     return out.sum(axis=0)
 
 
-def _score_columns(
+def _pair_sums(
     params: SignalParams,
     rx: _Receivers,
     pts: np.ndarray,
     owner,
-    cols: np.ndarray,
+    true,
+    dx,
+    dy,
+    cols,
     scratch: _Scratch,
 ) -> np.ndarray:
-    """``_scores`` of the points ``pts[cols]``, claimed by ``owner`` as
-    ``_columns``, from their own ``_in_band`` test."""
-    part, pts = (owner if np.ndim(owner) == 0 else owner[cols]), pts[cols]
-    return _scores(params, rx, pts, part, _in_band(rx, pts, part, scratch), scratch)
-
-
-def _pair_sums(
-    params: SignalParams, true, dx, dy, cols, points: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each of ``points`` points' sum over its listed pairs, and which
-    points list more than two. Pair i, of point ``cols[i]``, is a receiver
-    at true distance ``true[i]`` and at offset (``dx[i]``, ``dy[i]``) from
-    the claim; the three arrays are spent.
+    """Each of ``pts``' sum over its listed pairs, claimed by ``owner`` as
+    ``_columns``. Pair i, of point ``cols[i]``, is a receiver at true
+    distance ``true[i]`` and at offset (``dx[i]``, ``dy[i]``) from the
+    claim; ``dx`` and ``dy`` are spent.
 
     A point's pairs are added in list order. For a point with at most two,
     that is ``_scores``' sum: every other entry of its dense column is
     +0.0, which leaves any sum unchanged, so both give 0.0, a, or fl(a + b)
     in either order. With three or more the order can move the last bit,
-    so the caller scores those points densely.
+    so those points are scored densely, by ``_theta_batch``.
     """
     claimed = np.hypot(dx, dy, out=dx)
     probs = _deception_prob_arrays(params, true, claimed, out=dy)
     # an empty list counts into integers, whatever its weights
-    sums = np.bincount(cols, probs, points).astype(float, copy=False)
-    return sums, np.bincount(cols, minlength=points) > 2
+    sums = np.bincount(cols, probs, len(pts)).astype(float, copy=False)
+    many = np.flatnonzero(np.bincount(cols, minlength=len(pts)) > 2)
+    if len(many):
+        part = owner if np.ndim(owner) == 0 else owner[many]
+        sums[many] = _theta_batch(params, rx, pts[many], part, scratch)
+    return sums
 
 
 def _thin_scores(
     params: SignalParams,
     rx: _Receivers,
     pts: np.ndarray,
-    owner,
+    f: int,
     inside: np.ndarray,
     scratch: _Scratch,
 ) -> np.ndarray:
-    """``_scores`` from the pairs of ``inside``, any superset of the in-band
-    pairs: each listed pair takes ``_in_band``'s own ``d2`` and test, and
-    the pairs in band are summed by ``_pair_sums``; a point with more than
-    two goes through ``_score_columns``."""
+    """Faker ``f``'s exact scores of ``pts`` from the pairs of ``inside``,
+    any superset of the in-band pairs: each listed pair takes
+    ``_in_band``'s own ``d2`` and test, and the pairs in band are summed
+    by ``_pair_sums``."""
     # flatnonzero and divmod outpace a 2-D nonzero several times over
     rcv, cols = np.divmod(np.flatnonzero(inside), inside.shape[1])
     # each pair's entry in the (receivers, fakers) tables of rx
-    at = rcv * rx.r.shape[1] + (owner if np.ndim(owner) == 0 else owner[cols])
+    at = rcv * rx.r.shape[1] + f
     dx = rx.coords[0].take(at) - pts[cols, 0]
     dy = rx.coords[1].take(at) - pts[cols, 1]
     d2 = dx * dx + dy * dy
     band = (d2 >= rx.near2.take(at)) & (d2 <= rx.far2.take(at))
-    values, many = _pair_sums(
-        params, rx.r.take(at[band]), dx[band], dy[band], cols[band], len(pts)
-    )
-    many = np.flatnonzero(many)
-    if len(many):
-        values[many] = _score_columns(params, rx, pts, owner, many, scratch)
-    return values
+    true, dx, dy, cols = rx.r.take(at[band]), dx[band], dy[band], cols[band]
+    return _pair_sums(params, rx, pts, f, true, dx, dy, cols, scratch)
 
 
 def theta_for_fake(
@@ -726,9 +710,8 @@ def _refine(
     owner: np.ndarray,
     scratch: _Scratch,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_walk`` scoring every move against every receiver. An iteration's
-    moves are scored in batches of at most ``scratch.cells // receivers``
-    points; since ``_theta_batch`` sums each point in one order, each start
+    """``_walk`` scoring every move against every receiver
+    (``_theta_batch``); since it sums each point in one order, each start
     walks exactly as it would alone.
     """
     move_owner = np.repeat(owner, len(_COMPASS))
@@ -736,11 +719,7 @@ def _refine(
     def score(moves, ok, *_):
         mvals = np.full(ok.shape, -np.inf)
         at = np.flatnonzero(ok)
-        width = max(1, scratch.cells // rx.r.shape[0])
-        for lo in range(0, len(at), width):
-            part = at[lo : lo + width]
-            batch = moves.reshape(-1, 2)[part]
-            mvals.flat[part] = _theta_batch(params, rx, batch, move_owner[part], scratch=scratch)
+        mvals.flat[at] = _theta_batch(params, rx, moves.reshape(-1, 2)[at], move_owner[at], scratch)
         return mvals
 
     return _walk(region, rx, config, pts, vals, owner, score)
@@ -790,10 +769,9 @@ def _refine_live(
     whenever a start has moved, and kept otherwise. A move's pairs take
     ``_in_band``'s per-pair ``d2`` and test, so a move has the same in-band
     pairs as in ``_refine``, and each move is summed from its own in-band
-    pairs (``_pair_sums``): a feasible move with none scores exactly 0.0.
-    The few moves with more than two go through ``_theta_batch`` in
-    batches of ``_refine``'s size, so every move sums as in ``_refine``,
-    and the walks end byte-equal.
+    pairs (``_pair_sums``): a feasible move with none scores exactly 0.0,
+    and the few with more than two are scored densely, as in ``_refine``.
+    So every move sums as in ``_refine``, and the walks end byte-equal.
     """
     move_owner = np.repeat(owner, len(_COMPASS))
     live = None
@@ -816,14 +794,11 @@ def _refine_live(
         at = np.flatnonzero(inside)
         pair, move = np.divmod(at, len(_COMPASS))
         cols = start[pair] * len(_COMPASS) + move
-        mvals, many = _pair_sums(params, r[pair], dx.flat[at], dy.flat[at], cols, ok.size)
+        mvals = _pair_sums(
+            params, rx, moves.reshape(-1, 2), move_owner, r[pair], dx.flat[at], dy.flat[at],
+            cols, scratch,
+        )
         mvals[~ok.reshape(-1)] = -np.inf
-        many = np.flatnonzero(many)
-        width = max(1, scratch.cells // rx.r.shape[0])
-        for lo in range(0, len(many), width):
-            part = many[lo : lo + width]
-            batch = moves.reshape(-1, 2)[part]
-            mvals[part] = _theta_batch(params, rx, batch, move_owner[part], scratch=scratch)
         return mvals.reshape(ok.shape)
 
     return _walk(region, rx, config, pts, vals, owner, score)
@@ -847,13 +822,13 @@ def optimize_fake_positions(
     equal-range circle, which carry the optima when the noise band is too
     thin for any grid), filtered to the feasible set, then greedy compass
     refinement with step halving from the top few candidates. Each faker's
-    candidates are first screened in float32, in one frame for the region
-    (``_frame``, ``_screen``). In a thin band (``_THIN_SHARE``) every
-    candidate is scored, and all fakers' refinements walk in lockstep
-    tested only against the receivers a move can reach (``_refine_live``).
-    In a wider band only the candidates whose screened upper bound can rank
-    them among the top few are scored (``_theta_batch``), and all
-    refinements walk in lockstep against every receiver (``_refine``).
+    candidates are scored by ``_candidate_values``, which first screens them
+    in float32, in one frame for the region (``_frame``). In a thin band
+    (``_THIN_SHARE``) every candidate is scored, and all fakers'
+    refinements walk in lockstep tested only against the receivers a move
+    can reach (``_refine_live``). In a wider band only the candidates whose
+    screened upper bound can rank them among the top few are scored, and
+    all refinements walk in lockstep against every receiver (``_refine``).
     Both walks score in batches that hold no more points than the largest
     candidate set, end byte-equal, and give each faker exactly the outcome
     it would get searched alone.
@@ -909,7 +884,7 @@ def optimize_fake_positions(
         cands = np.concatenate([grid[on_grid], extra])
         # refine from the strongest few starts; cheap insurance against the
         # greedy walk stalling on a local ridge
-        values = _theta_batch(params, rx, cands, f, REFINE_STARTS, scratch, frame)
+        values = _candidate_values(params, rx, cands, f, scratch, frame)
         top = _top(cands, values, REFINE_STARTS)
         starts.append((cands[top], values[top], np.full(len(top), f)))
     del geometry

@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .channel import TRUTHFUL_ACCEPT_PROB, SignalParams
-from .codec import from_json, read_json, to_json, write_json
+from .codec import _from_json_at, from_json, read_json, to_json, write_json
 from .pool import pool_map
 
 ENV_CACHE_DIR = "POSVERIFY_THETA_CACHE"
@@ -56,8 +56,9 @@ class CalibrationMeta:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.num_x0 < 1 or self.num_x_per_x0 < 1:
-            raise ValueError("sample counts must be positive")
+        for name in ("num_x0", "num_x_per_x0"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
@@ -77,6 +78,8 @@ class ThetaTable:
     meta: CalibrationMeta
 
     def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got {self.n}")
         if self.theta_star < 0:
             raise ValueError(f"theta_star must be nonnegative, got {self.theta_star}")
         if sorted(self.quantiles) != list(_DECILES):
@@ -84,6 +87,11 @@ class ThetaTable:
         cells = self.meta.num_x0 * self.meta.num_x_per_x0
         if len(self.samples) != cells:
             raise ValueError(f"{len(self.samples)} samples for {cells} calibration cells")
+        # an expected count of deceived receivers; a NaN would filter nobody
+        values = [(f"quantiles.{q}", v) for q, v in self.quantiles.items()]
+        for key, v in values + [(f"samples.{i}", v) for i, v in enumerate(self.samples)]:
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"{key}: must be finite and nonnegative, got {v}")
 
     def schedule(self) -> tuple[float, ...]:
         """Escalating thresholds for the quantile variant of the filter."""
@@ -196,7 +204,7 @@ def threshold(active_count: int, theta: float) -> float:
     """Approval count a node must reach to stay: (active + theta) / 2."""
     if active_count < 1:
         raise ValueError(f"active_count must be positive, got {active_count}")
-    if theta < 0:
+    if not theta >= 0:  # NaN too
         raise ValueError(f"theta must be nonnegative, got {theta}")
     return (active_count + theta) / 2.0
 
@@ -248,8 +256,10 @@ def table_to_dict(table: ThetaTable) -> dict:
 
 
 def table_from_dict(d: dict) -> ThetaTable:
+    """The table of a file's JSON value, laid out as ``table_to_dict``
+    writes it; an error names the file's key (``calibration_meta.seed``)."""
     d = dict(d)
-    d["meta"] = d.pop("calibration_meta")
+    d["meta"] = _from_json_at("calibration_meta", CalibrationMeta, d.pop("calibration_meta"))
     return from_json(ThetaTable, d)
 
 

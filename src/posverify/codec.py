@@ -79,10 +79,11 @@ def from_json(tp, data):
 
 
 def _from_json_at(key, tp, data):
-    """``from_json`` of the value at ``key``. An error names its key, and
-    one inside nested values names their keys' dotted path, ``a.b.c``."""
+    """``from_json`` of the value at ``key``, or ``tp(data)`` where ``tp``
+    is a function that decodes it. An error names its key, and one inside
+    nested values names their keys' dotted path, ``a.b.c``."""
     try:
-        return from_json(tp, data)
+        return tp(data) if isinstance(tp, types.FunctionType) else from_json(tp, data)
     except (TypeError, ValueError) as exc:
         inner = getattr(exc, "key", None)
         path, reason = (f"{key}.{inner}", exc.reason) if inner else (str(key), str(exc))

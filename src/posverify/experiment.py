@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -98,8 +99,9 @@ class ExperimentConfig:
             )
         if self.signal.noise_sigma != 0.0:
             raise ValueError("set noise through noise_mode, not on signal")
-        if self.calibration_positions < 1 or self.calibration_sets < 1:
-            raise ValueError("calibration sample counts must be positive")
+        for name in ("calibration_positions", "calibration_sets"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @property
     def n1(self) -> int:
@@ -149,11 +151,15 @@ def config_from_dict(d) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown ExperimentConfig keys {[f'calibration.{k}' for k in unknown]}")
     for k, v in calibration.items():
-        count = _from_json_at(f"calibration.{k}", int, v)
-        if count < 1:
-            raise ValueError(f"calibration.{k}: must be positive, got {count}")
-        d[f"calibration_{k}"] = count
+        d[f"calibration_{k}"] = _from_json_at(f"calibration.{k}", _positive_count, v)
     return from_json(ExperimentConfig, d)
+
+
+def _positive_count(data) -> int:
+    count = from_json(int, data)
+    if count < 1:
+        raise ValueError(f"must be positive, got {count}")
+    return count
 
 
 def load_config(path) -> ExperimentConfig:
@@ -306,10 +312,15 @@ def report_to_dict(r: ExperimentReport) -> dict:
 
 
 def report_from_dict(d: dict) -> ExperimentReport:
+    """The report of a file's JSON value, laid out as ``report_to_dict``
+    writes it; an error names the file's key (``config.region.x_max``,
+    ``theta.theta_star``)."""
     d = dict(d)
-    d.update(d.pop("theta"))
-    d.update(d.pop("aggregate"))
-    d["config"] = config_from_dict(d["config"])
+    hints = typing.get_type_hints(ExperimentReport)
+    for group, keys in (("theta", _THETA_KEYS), ("aggregate", _AGGREGATE_KEYS)):
+        for k, v in _from_json_at(group, dict[str, object], d.pop(group)).items():
+            d[k] = _from_json_at(f"{group}.{k}", hints[k], v) if k in keys else v
+    d["config"] = _from_json_at("config", config_from_dict, d["config"])
     return from_json(ExperimentReport, d)
 
 

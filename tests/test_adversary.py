@@ -19,6 +19,7 @@ from posverify.adversary import (
     REFINE_STARTS,
     FakingSearchConfig,
     Region,
+    _candidate_values,
     _circle_points,
     _feasible,
     _frame,
@@ -94,6 +95,20 @@ REGION = Region(0.0, 100.0, 0.0, 100.0)
 
 def make_params(sigma):
     return SignalParams(transmit_power=1.0, wavelength=0.125, noise_sigma=sigma)
+
+
+def region_frame(rx, region=REGION):
+    """The screen's frame for a search of ``region``, as the search makes it."""
+    return _frame(rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
+
+
+def candidate_values(params, rx, pts, f, k=REFINE_STARTS, scratch=None):
+    """``_candidate_values`` of faker ``f`` ranking its ``k`` best, in
+    ``REGION``'s frame, on a scratch sized for the batch unless given."""
+    scratch = _Scratch(rx.r.shape[0] * len(pts)) if scratch is None else scratch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary, "REFINE_STARTS", k)
+        return _candidate_values(params, rx, pts, f, scratch, region_frame(rx))
 
 
 def walk_cells(rx, starts):
@@ -469,28 +484,29 @@ class TestThinScores:
             thin.clear()
             for f in range(len(x0s)):
                 assert _theta_batch(params, rx, pts, f).tobytes() == dense[f].tobytes()
-            owner = np.arange(len(pts)) % len(x0s)
-            got = _theta_batch(params, rx, pts, owner, top=REFINE_STARTS)
-            assert got.tobytes() == np.choose(owner, dense).tobytes()
-            assert thin == ["_thin_scores"] * (len(x0s) + 1)
+                got = candidate_values(params, rx, pts, f)
+                assert got.tobytes() == dense[f].tobytes()
+            assert thin == ["_thin_scores"] * len(x0s)
 
         check()
 
     def test_collinear_receivers_fall_back_in_search_and_walk(self, monkeypatch):
         # receivers on x + y = 20 mirror x0 = (20, 20) onto the corner (0, 0)
         # for every pair, so that point lies in three bands. It is a candidate,
-        # and the walk's clipped moves from it land on it again: the >2
-        # fallback runs in the candidate scorer (_score_columns) and in the
-        # live walk (_theta_batch). The 40 receivers away from the corner keep
-        # the reachable share thin. Outcome as with dense column sums
-        calls = recorded_calls(monkeypatch, "_score_columns", "_refine_live", "_theta_batch")
+        # and the walk's clipped moves from it land on it again: _pair_sums'
+        # >2 fallback (_theta_batch) runs in the candidate scorer and in the
+        # live walk. The 40 receivers away from the corner keep the
+        # reachable share thin. Outcome as with dense column sums
+        calls = recorded_calls(monkeypatch, "_pair_sums", "_refine_live", "_theta_batch")
         params = noise_params(2.0, "negligible")
         line = np.array([(2.0, 18.0), (6.0, 14.0), (10.0, 10.0)])
         gp = np.concatenate([line, np.random.default_rng(3).uniform(30.0, 100.0, (40, 2))])
         cfg = FakingSearchConfig(exclusion_radius=7.07, grid_step=10.0)
         out = optimize_fake_position(params, REGION, (20.0, 20.0), gp, cfg)
         walk = calls.index("_refine_live")
-        assert "_score_columns" in calls[:walk] and "_theta_batch" in calls[walk:]
+        assert "_theta_batch" in calls[:walk] and "_theta_batch" in calls[walk:]
+        # every _theta_batch call is the fallback of the _pair_sums before it
+        assert all(calls[i - 1] == "_pair_sums" for i, c in enumerate(calls) if c == "_theta_batch")
         assert out.fake_position == (0.0, 0.0)
         assert out.expected_deceived.hex() == "0x1.7ef699688ec14p+1"
         assert [p.hex() for p in out.per_node_probs[:3]] == [
@@ -592,8 +608,10 @@ class TestBounds:
         frame, pts, _, bands = edge_claims(rx, region, rng)
         # each claim a point of its own faker; every pair of it is bounded
         scratch = _Scratch(rx.r.shape[0] * len(pts))
-        pairs = _screen_bounds(*_screen(rx, pts, bands, frame, scratch), scratch)[0]
-        assert np.all(pairs >= exact_pair_probs(params, rx, pts, bands))
+        for f in range(len(x0s)):
+            own = pts[bands == f]
+            pairs = _screen_bounds(*_screen(rx, own, f, frame, scratch), scratch)[0]
+            assert np.all(pairs >= exact_pair_probs(params, rx, own, bands[bands == f]))
 
     @given(edge_instances())
     def test_point_bound_holds_for_claims_on_level_edges(self, instance):
@@ -604,9 +622,6 @@ class TestBounds:
         for f in range(len(x0s)):
             bound = _screen_bounds(*_screen(rx, pts, f, frame, scratch), scratch)[1]
             assert np.all(bound >= _theta_batch(params, rx, pts, f))
-        # mixed owners: each point bounded with its own faker's edges
-        bound = _screen_bounds(*_screen(rx, pts, bands, frame, scratch), scratch)[1]
-        assert np.all(bound >= _theta_batch(params, rx, pts, bands))
 
     def test_no_in_band_pair_bounds_just_above_zero(self):
         # a point no receiver's band reaches scores exactly 0.0, so it ties a
@@ -625,17 +640,19 @@ class TestScreen:
     @given(edge_instances())
     def test_keeps_every_pair_in_band(self, instance):
         # claims on and around every band edge, in the region's frame and in
-        # the frame of the batch's own box, with one faker or mixed owners
+        # the frame of the batch's own box, for each faker
         params, region, x0s, gp, rng = instance
         rx = _receivers(params, x0s, gp)
         frame, pts, _, bands = edge_claims(rx, region, rng)
         scratch = _Scratch(rx.r.shape[0] * len(pts))
         box = _frame(rx, pts.min(axis=0), pts.max(axis=0)) if len(pts) else frame
-        for owner, within in itertools.product([0, bands], [frame, box]):
-            exact = _in_band(rx, pts, owner, _Scratch(scratch.cells)).copy()
-            kept = _screen(rx, pts, owner, within, scratch)[0]
+        found = False
+        for f, within in itertools.product(range(len(x0s)), [frame, box]):
+            exact = _in_band(rx, pts, f, _Scratch(scratch.cells)).copy()
+            kept = _screen(rx, pts, f, within, scratch)[0]
             assert not (exact & ~kept).any()
-        assert exact.any() or not len(pts)
+            found |= exact.any()
+        assert found or not len(pts)
 
     @pytest.mark.parametrize(
         "seed,digest",
@@ -707,8 +724,8 @@ def exhaustive_top(params, rx, pts, owner, k=REFINE_STARTS):
     return top, values[top]
 
 
-def pruned_top(params, rx, pts, owner, k=REFINE_STARTS):
-    values = _theta_batch(params, rx, pts, owner, top=k)
+def pruned_top(params, rx, pts, f, k=REFINE_STARTS):
+    values = candidate_values(params, rx, pts, f, k)
     top = np.flatnonzero(values > -np.inf)
     top = top[_ranked(pts[top], values[top])[:k]]
     return top, values[top]
@@ -783,7 +800,6 @@ class TestPrunedTop:
             rx = _receivers(params, x0s, gp)
             for f in range(len(x0s)):
                 assert_same_top(params, rx, pts, f, k)
-            assert_same_top(params, rx, pts, np.arange(len(pts)) % len(x0s), k)
 
         check()
         assert calls
@@ -807,7 +823,7 @@ class TestPrunedTop:
         params = noise_params(2.0, "significant")
         rx = _receivers(params, (50.0, 10.0), [(25.0, 50.0), (75.0, 50.0)])
         pts = np.array([(90.0, 90.0), (10.0, 90.0), (50.0, 60.0)])
-        got = _theta_batch(params, rx, pts, 0, top=REFINE_STARTS)
+        got = candidate_values(params, rx, pts, 0)
         assert got.tobytes() == _theta_batch(params, rx, pts, 0).tobytes()
         assert_same_top(params, rx, pts, 0)
 
@@ -833,8 +849,8 @@ class TestPrunedTop:
             rx = _receivers(params, node.true_position, genuine)
             assert_same_top(params, rx, pts, 0)
             if thin:
-                # a thin band's batch scores every point exactly, as without top
-                got = _theta_batch(params, rx, pts, 0, top=REFINE_STARTS)
+                # a thin band's batch scores every point exactly
+                got = candidate_values(params, rx, pts, 0)
                 assert np.isfinite(got).all()
                 assert got.tobytes() == _theta_batch(params, rx, pts, 0).tobytes()
         assert bool(calls) != thin
@@ -908,7 +924,7 @@ class TestKernelMemory:
         pts = search_candidates(self.params, self.x0s[0], self.gp, cfg)
         assert 2000 < len(pts) < 3000
         rx = _receivers(self.params, self.x0s[:1], self.gp)
-        pruned = peak_bytes(lambda: _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS))
+        pruned = peak_bytes(lambda: candidate_values(self.params, rx, pts, 0))
         dense = peak_bytes(lambda: dense_theta_batch(self.params, self.x0s[0], self.gp, pts))
         assert pruned <= dense
 
@@ -956,13 +972,11 @@ class TestKernelMemory:
         pts = search_candidates(self.params, self.x0s[0], self.gp, cfg)
         assert 2000 < len(pts) < 3000
         rx = _receivers(self.params, self.x0s[:1], self.gp)
-        scratch = _Scratch(len(self.gp) * len(pts))
-        first = _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
-        second = peak_bytes(
-            lambda: _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
-        )
+        scratch, frame = _Scratch(len(self.gp) * len(pts)), region_frame(rx)
+        first = _candidate_values(self.params, rx, pts, 0, scratch, frame)
+        second = peak_bytes(lambda: _candidate_values(self.params, rx, pts, 0, scratch, frame))
         assert second < len(self.gp) * len(pts) * 8
-        again = _theta_batch(self.params, rx, pts, 0, top=REFINE_STARTS, scratch=scratch)
+        again = _candidate_values(self.params, rx, pts, 0, scratch, frame)
         assert again.tobytes() == first.tobytes()
 
     def test_second_refinement_iteration_allocates_no_dense_array(self):
@@ -1280,17 +1294,17 @@ class TestRefineWalks:
         # significant noise about 50% and 72%
         screens = ("_screen", "_screen_bounds")
         calls = recorded_calls(monkeypatch, *screens, "_refine", "_refine_live")
-        # each _theta_batch call of the dense walk: its points, and the most
-        # its scratch is sized for
+        # each _in_band batch of the dense walk: its points, and the most its
+        # scratch is sized for
         batches = []
-        inner = adversary._theta_batch
+        inner = adversary._in_band
 
-        def recorded(params, rx, points, owner, top=None, scratch=None, frame=None):
+        def recorded(rx, pts, owner, scratch):
             if "_refine" in calls:
-                batches.append((len(points), scratch.cells // rx.r.shape[0]))
-            return inner(params, rx, points, owner, top, scratch, frame)
+                batches.append((len(pts), scratch.cells // rx.r.shape[0]))
+            return inner(rx, pts, owner, scratch)
 
-        monkeypatch.setattr(adversary, "_theta_batch", recorded)
+        monkeypatch.setattr(adversary, "_in_band", recorded)
         deploy(PRESETS[name], 0)
         walks = [c for c in calls if c not in screens]
         # either walk takes every start in one call
@@ -1323,8 +1337,11 @@ def stale_batches(draw):
         gp = REGION.sample(rng, len(x0s) * n_rx).reshape(len(x0s), n_rx, 2)
     rx = _receivers(params, x0s, gp)
     pts = REGION.sample(rng, draw(st.integers(60, 120)))
-    owner = rng.integers(0, len(x0s), len(pts)) if draw(st.booleans()) else len(x0s) - 1
-    return params, rx, pts, owner, draw(st.sampled_from([None, 1, REFINE_STARTS]))
+    # a candidate batch (a top to rank) has one faker
+    top = draw(st.sampled_from([None, 1, REFINE_STARTS]))
+    mixed = top is None and draw(st.booleans())
+    owner = rng.integers(0, len(x0s), len(pts)) if mixed else len(x0s) - 1
+    return params, rx, pts, owner, top
 
 
 def assert_same_bytes(got, want):
@@ -1340,13 +1357,17 @@ class TestScratchReuse:
         _, stale_rx, stale_pts, _ = batch
         # room for the stale batch and for one walk iteration
         scratch = _Scratch(max(stale_rx.r.shape[0] * len(stale_pts), walk_cells(rx, starts)))
-        _theta_batch(*batch, top=top, scratch=scratch)
+        if top is None:
+            _theta_batch(*batch, scratch=scratch)
+        else:
+            candidate_values(*batch, top, scratch)
         # each result bit-equal to a fresh scratch's, on a scratch that every
         # call before it has left stale
-        for part, top in itertools.product([owner, owner[0]], [None, k]):
-            got = _theta_batch(params, rx, starts, part, top=top, scratch=scratch)
-            want = _theta_batch(params, rx, starts, part, top=top)
-            assert got.tobytes() == want.tobytes()
+        for part in (owner, owner[0]):
+            got = _theta_batch(params, rx, starts, part, scratch)
+            assert got.tobytes() == _theta_batch(params, rx, starts, part).tobytes()
+        got = candidate_values(params, rx, starts, owner[0], k, scratch)
+        assert got.tobytes() == candidate_values(params, rx, starts, owner[0], k).tobytes()
         for walk in (_refine, _refine_live):
             got = walk(params, REGION, rx, cfg, starts, vals, owner, scratch)
             fresh = _Scratch(walk_cells(rx, starts))

@@ -43,6 +43,9 @@ class TestThreshold:
             threshold(0, 1.0)
         with pytest.raises(ValueError):
             threshold(10, -0.5)
+        # a NaN allowance would keep every node
+        with pytest.raises(ValueError, match="theta must be nonnegative, got nan"):
+            threshold(10, math.nan)
 
 
 class TestMaliciousApprovalBound:

@@ -285,6 +285,33 @@ class TestTheta:
         assert meta.region == preset.region
         assert meta.faking == preset.faking
 
+    @pytest.mark.parametrize(
+        "samples,why",
+        [
+            (("0", "5"), "calibration_positions must be positive, got 0"),
+            (("3", "-2"), "calibration_sets must be positive, got -2"),
+        ],
+    )
+    def test_non_positive_sample_count_named(self, tmp_path, capsys, samples, why):
+        out = tmp_path / "t.json"
+        assert main(["theta", "--n", "8", "--samples", *samples, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {why}\n"
+        assert not out.exists()
+
+    def test_table_with_non_positive_count_named(self, config_path, tmp_path, capsys):
+        # a table file's key, under the file's own name for the meta
+        table = tmp_path / "t.json"
+        assert main(["theta", "--config", str(config_path), "--out", str(table)]) == 0
+        d = json.loads(table.read_text())
+        d["calibration_meta"]["num_x0"] = 0
+        table.write_text(json.dumps(d))
+        cfg = replace(load_config(config_path), theta_source=str(table))
+        config_path.write_text(json.dumps(config_to_dict(cfg)))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 1
+        why = "calibration_meta: num_x0 must be positive, got 0"
+        assert capsys.readouterr().err == f"error: bad theta table {table}: {why}\n"
+
     def test_sigma_rejected_for_derived_modes(self, tmp_path, capsys):
         code = main(
             ["theta", "--n", "8", "--sigma", "0.5", "--out", str(tmp_path / "t.json")]

@@ -15,6 +15,8 @@ from posverify.experiment import FILTER_MODES, ExperimentConfig, NoiseMode
 from posverify.protocol import FilterResult, FilterRound
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# a table's quantiles and samples are expected counts of deceived receivers
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
 counts = st.integers(0, 1000)
 id_tuples = st.lists(counts, max_size=6).map(tuple)
@@ -60,8 +62,8 @@ def tables(draw):
     return ThetaTable(
         n=draw(st.integers(2, 500)),
         theta_star=draw(counts),
-        quantiles={t / 10: draw(finite) for t in range(1, 10)},
-        samples=tuple(draw(st.lists(finite, min_size=cells, max_size=cells))),
+        quantiles={t / 10: draw(nonnegative) for t in range(1, 10)},
+        samples=tuple(draw(st.lists(nonnegative, min_size=cells, max_size=cells))),
         meta=meta,
     )
 

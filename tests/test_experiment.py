@@ -2,13 +2,19 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from posverify import calibration, pool
 from posverify.adversary import FakingSearchConfig, Region
-from posverify.calibration import CalibrationMeta, estimate_theta_table, table_to_dict
+from posverify.calibration import (
+    CalibrationMeta,
+    estimate_theta_table,
+    load_theta_table,
+    table_to_dict,
+)
 from posverify.channel import SignalParams
 from posverify.codec import write_json
 from posverify.experiment import (
@@ -30,6 +36,10 @@ from posverify.experiment import (
     step_rows,
 )
 from posverify.protocol import AccusationMatrix, NodeKind, filter_fixpoint
+
+GOLDEN = Path(__file__).parent / "golden"
+# a theta table file's deciles, each at one value
+DECILES = {str(t / 10): 1.0 for t in range(1, 10)}
 
 
 def tiny_config(**overrides):
@@ -233,39 +243,84 @@ def _leaves(d, keys=()):
             yield (*keys, k)
 
 
+def assert_loads_or_names_its_key(load, what, d, keys, value, path, across=None):
+    """``load`` of the file ``d`` with its leaf at ``keys`` set to ``value``
+    either loads or fails with one line that names the key. A decoding
+    error names it by dotted path ("faking.grid_step: expected a number"),
+    a field's own check after the object that holds it ("faking: grid_step
+    must be positive"); a check across fields starts as ``across``."""
+    d = json.loads(json.dumps(d))
+    *holder, leaf = keys
+    node = d
+    for k in holder:
+        node = node[k]
+    node[leaf] = value
+    path.write_text(json.dumps(d))
+    try:
+        load(path)
+    except ValueError as exc:
+        prefix = f"bad {what} {path}: "
+        why = str(exc).removeprefix(prefix)
+        assert str(exc).startswith(prefix) and "\n" not in why
+        named = (
+            f"{'.'.join(keys)}: ",
+            f"{'.'.join(holder)}: {leaf} " if holder else f"{leaf} ",
+            across,
+        )
+        assert why.startswith(tuple(filter(None, named))), why
+
+
 NEG_CONFIG = config_to_dict(PRESETS["neg-noise-52"])
+LEAF_VALUES = [None, True, "x", [1], {}, -1, 0, 1.5]
+NEED_N0 = "need 2 <= n0 <= n"
+# the golden files: a 2 x 2-cell theta table, and a 2-trial report
+GOLDEN_TABLE = json.loads((GOLDEN / "theta_table.json").read_text())
+GOLDEN_REPORT = json.loads((GOLDEN / "report.json").read_text())
 
 
 class TestConfigDecoding:
-    @pytest.mark.parametrize("value", [None, True, "x", [1], {}, -1, 0, 1.5], ids=json.dumps)
+    @pytest.mark.parametrize("value", LEAF_VALUES, ids=json.dumps)
     @pytest.mark.parametrize("keys", list(_leaves(NEG_CONFIG)), ids=".".join)
     def test_every_leaf_loads_or_names_its_key(self, tmp_path, keys, value):
-        # a field's own check names it after the object that holds it
-        # ("faking: grid_step must be positive"), a decoding error by dotted
-        # path ("faking.grid_step: expected a number"); a check across fields
-        # names the object that holds them
-        d = json.loads(json.dumps(NEG_CONFIG))
-        *holder, leaf = keys
-        node = d
-        for k in holder:
-            node = node[k]
-        node[leaf] = value
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(d))
-        try:
-            load_config(path)
-        except ValueError as exc:
-            prefix = f"bad config {path}: "
-            why = str(exc).removeprefix(prefix)
-            assert str(exc).startswith(prefix) and "\n" not in why
-            need = "need 2 <= n0 <= n"
-            across = {"region": "region: degenerate region", "n": need, "n0": need}
-            named = (
-                f"{'.'.join(keys)}: ",
-                f"{'.'.join(holder)}: {leaf} " if holder else f"{leaf} ",
-                across.get(keys[0]),
-            )
-            assert why.startswith(tuple(filter(None, named))), why
+        across = {"region": "region: degenerate region", "n": NEED_N0, "n0": NEED_N0}
+        assert_loads_or_names_its_key(
+            load_config, "config", NEG_CONFIG, keys, value, tmp_path / "cfg.json",
+            across.get(keys[0]),
+        )
+
+
+class TestTableDecoding:
+    @pytest.mark.parametrize("value", [*LEAF_VALUES, math.nan, math.inf], ids=json.dumps)
+    @pytest.mark.parametrize("keys", list(_leaves(GOLDEN_TABLE)), ids=".".join)
+    def test_every_leaf_loads_or_names_its_key(self, tmp_path, keys, value):
+        # named by the file's keys (calibration_meta.region.x_max, not the
+        # field's name meta); NaN, infinite and negative deciles and samples
+        # fail to load
+        across = {
+            "samples": "1 samples for 6 calibration cells",
+            "calibration_meta.region": "calibration_meta.region: degenerate region",
+        }
+        assert_loads_or_names_its_key(
+            load_theta_table, "theta table", GOLDEN_TABLE, keys, value, tmp_path / "t.json",
+            across.get(".".join(keys[:2])),
+        )
+
+
+class TestReportDecoding:
+    @pytest.mark.parametrize("value", LEAF_VALUES, ids=json.dumps)
+    @pytest.mark.parametrize("keys", list(_leaves(GOLDEN_REPORT)), ids=".".join)
+    def test_every_leaf_loads_or_names_its_key(self, tmp_path, keys, value):
+        # named by the file's keys: config.region.x_max and theta.theta_star
+        across = {
+            "config.region": "config.region: degenerate region",
+            "config.noise_mode": "config.noise_mode: explicit noise needs a positive sigma",
+            "config.n": f"config: {NEED_N0}",
+            "config.n0": f"config: {NEED_N0}",
+        }
+        assert_loads_or_names_its_key(
+            load_report, "report", GOLDEN_REPORT, keys, value, tmp_path / "r.json",
+            across.get(".".join(keys[:2])),
+        )
 
 
 class TestDeploy:
@@ -365,6 +420,31 @@ class TestThetaSource:
             (dict(theta_star=2.5), "theta_star: expected an integer, got 2.5"),
             (dict(theta_star=True), "theta_star: expected an integer, got True"),
             (dict(n=10.0), "n: expected an integer, got 10.0"),
+            # would otherwise load
+            (dict(n=-3), "n must be at least 2, got -3"),
+            (dict(n=1), "n must be at least 2, got 1"),
+            # would otherwise load, and the quantile filter's step at the NaN
+            # decile would remove nobody
+            (
+                dict(quantiles=DECILES | {"0.5": math.nan}),
+                "quantiles.0.5: must be finite and nonnegative, got nan",
+            ),
+            (
+                dict(quantiles=DECILES | {"0.9": math.inf}),
+                "quantiles.0.9: must be finite and nonnegative, got inf",
+            ),
+            (
+                dict(quantiles=DECILES | {"0.1": -0.5}),
+                "quantiles.0.1: must be finite and nonnegative, got -0.5",
+            ),
+            (
+                dict(samples=[1.0, math.nan, 1.0, 1.0]),
+                "samples.1: must be finite and nonnegative, got nan",
+            ),
+            (
+                dict(samples=[1.0, 1.0, 1.0, -math.inf]),
+                "samples.3: must be finite and nonnegative, got -inf",
+            ),
         ],
     )
     def test_malformed_file_source_named(self, tmp_path, edit, why):
