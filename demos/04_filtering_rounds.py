@@ -8,11 +8,12 @@ approve each other and accuse every honest node.
 """
 
 from posverify import (
+    CalibrationCounts,
     ExperimentConfig,
     FakingSearchConfig,
     NoiseMode,
     Region,
-    SignalParams,
+    Signal,
     accuse_approve,
     count_approvals,
     deploy,
@@ -25,12 +26,11 @@ config = ExperimentConfig(
     n=30,
     n0=20,
     region=region,
-    signal=SignalParams(transmit_power=1.0, wavelength=0.125),
+    signal=Signal(transmit_power=1.0, wavelength=0.125),
     noise_mode=NoiseMode("significant"),
     faking=FakingSearchConfig(0.2 * region.diagonal, region.diagonal / 30.0),
     seed=5,
-    calibration_positions=8,
-    calibration_sets=5,
+    calibration=CalibrationCounts(positions=8, sets=5),
 )
 
 table = resolve_theta_table(config)

@@ -14,44 +14,42 @@ import json
 from dataclasses import replace
 
 from posverify import (
+    CalibrationCounts,
     ExperimentConfig,
     FakingSearchConfig,
     NoiseMode,
     PRESETS,
     Region,
-    SignalParams,
+    Signal,
     run_experiment,
 )
-from posverify.experiment import report_to_dict
+from posverify.codec import to_json
 
 region = Region(0.0, 60.0, 0.0, 60.0)
 base = ExperimentConfig(
     n=24,
     n0=18,
     region=region,
-    signal=SignalParams(transmit_power=1.0, wavelength=0.125),
+    signal=Signal(transmit_power=1.0, wavelength=0.125),
     noise_mode=NoiseMode("significant"),
     faking=FakingSearchConfig(0.2 * region.diagonal, region.diagonal / 30.0),
     trials=8,
     seed=2,
-    calibration_positions=8,
-    calibration_sets=5,
+    calibration=CalibrationCounts(positions=8, sets=5),
 )
 
 print("sweep of the honest-node count at n = 24")
 print(f"{'n0':>4} {'success':>8} {'honest kept':>12} {'passes':>7}")
 for n0 in range(13, 22, 2):
-    report = run_experiment(replace(base, n0=n0))
-    print(f"{n0:>4} {report.success_rate:>8.2f} "
-          f"{report.mean_genuine_retained:>12.1f} {report.mean_rounds:>7.1f}")
+    agg = run_experiment(replace(base, n0=n0)).aggregate
+    print(f"{n0:>4} {agg.success_rate:>8.2f} "
+          f"{agg.mean_genuine_retained:>12.1f} {agg.mean_rounds:>7.1f}")
 
-# one trial in full detail, through the JSON report
+# one trial in full detail: the report's groups are its JSON file's groups
 report = run_experiment(replace(base, trials=1))
-blob = report_to_dict(report)
-print(f"\ntheta_star {blob['theta']['theta_star']}, "
-      f"schedule {blob['theta']['schedule']}")
+print(f"\ntheta_star {report.theta.theta_star}, schedule {list(report.theta.schedule)}")
 print("first trial per-pass deletions:")
-print(json.dumps(blob["aggregate"]["step_table"], indent=2))
+print(json.dumps(to_json(report.aggregate.step_table), indent=2))
 
 # bundled presets pin the boundary configurations
 print("presets:", ", ".join(sorted(PRESETS)))

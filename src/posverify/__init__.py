@@ -24,6 +24,7 @@ from .calibration import (
     threshold,
 )
 from .channel import (
+    Signal,
     SignalParams,
     Verdict,
     acceptance_interval,
@@ -35,6 +36,7 @@ from .channel import (
     simulate_approval_rate,
 )
 from .experiment import (
+    CalibrationCounts,
     ExperimentConfig,
     ExperimentReport,
     NoiseMode,

@@ -21,6 +21,7 @@ from .channel import (
     _distance_window,
     require_finite,
 )
+from .codec import FieldError
 
 # Candidate-generation constants: samples per distance circle, and how many
 # top-scoring candidates get their own pattern-search refinement.
@@ -98,11 +99,11 @@ class FakingSearchConfig:
     def __post_init__(self) -> None:
         require_finite(self)
         if self.exclusion_radius <= 0:
-            raise ValueError(f"exclusion_radius must be positive, got {self.exclusion_radius}")
+            raise FieldError("exclusion_radius", f"must be positive, got {self.exclusion_radius}")
         if self.grid_step <= 0:
-            raise ValueError(f"grid_step must be positive, got {self.grid_step}")
+            raise FieldError("grid_step", f"must be positive, got {self.grid_step}")
         if self.refine_iters < 0:
-            raise ValueError(f"refine_iters must be nonnegative, got {self.refine_iters}")
+            raise FieldError("refine_iters", f"must be nonnegative, got {self.refine_iters}")
 
 
 @dataclass(frozen=True)

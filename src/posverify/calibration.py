@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .channel import TRUTHFUL_ACCEPT_PROB, SignalParams
-from .codec import _from_json_at, from_json, read_json, to_json, write_json
+from .codec import FieldError, read_json, to_json, write_json
 from .pool import pool_map
 
 ENV_CACHE_DIR = "POSVERIFY_THETA_CACHE"
@@ -58,9 +58,9 @@ class CalibrationMeta:
     def __post_init__(self) -> None:
         for name in ("num_x0", "num_x_per_x0"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+                raise FieldError(name, f"must be positive, got {getattr(self, name)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise FieldError("seed", f"must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -75,23 +75,24 @@ class ThetaTable:
     theta_star: int
     quantiles: dict[float, float]
     samples: tuple[float, ...]
-    meta: CalibrationMeta
+    calibration_meta: CalibrationMeta
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError(f"n must be at least 2, got {self.n}")
+            raise FieldError("n", f"must be at least 2, got {self.n}")
         if self.theta_star < 0:
-            raise ValueError(f"theta_star must be nonnegative, got {self.theta_star}")
+            raise FieldError("theta_star", f"must be nonnegative, got {self.theta_star}")
         if sorted(self.quantiles) != list(_DECILES):
-            raise ValueError(f"quantiles must be the deciles {list(_DECILES)}")
-        cells = self.meta.num_x0 * self.meta.num_x_per_x0
+            raise FieldError("quantiles", f"must be the deciles {list(_DECILES)}")
+        meta = self.calibration_meta
+        cells = meta.num_x0 * meta.num_x_per_x0
         if len(self.samples) != cells:
             raise ValueError(f"{len(self.samples)} samples for {cells} calibration cells")
         # an expected count of deceived receivers; a NaN would filter nobody
         values = [(f"quantiles.{q}", v) for q, v in self.quantiles.items()]
         for key, v in values + [(f"samples.{i}", v) for i, v in enumerate(self.samples)]:
             if not 0.0 <= v < math.inf:
-                raise ValueError(f"{key}: must be finite and nonnegative, got {v}")
+                raise FieldError(key, f"must be finite and nonnegative, got {v}")
 
     def schedule(self) -> tuple[float, ...]:
         """Escalating thresholds for the quantile variant of the filter."""
@@ -170,7 +171,7 @@ def estimate_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> The
         theta_star=math.ceil(max(_per_x0_means(samples, meta))),
         quantiles={t / 10: float(pooled[_decile_rank(t, len(pooled))]) for t in QUANTILE_TENTHS},
         samples=tuple(float(s) for s in samples),
-        meta=meta,
+        calibration_meta=meta,
     )
 
 
@@ -190,7 +191,7 @@ class ThetaStarSource:
 def theta_star_source(table: ThetaTable) -> ThetaStarSource:
     """Which position set ``table``'s theta_star, the first on a tie, with
     how far its mean sits below theta_star and how well its sets pin it."""
-    meta = table.meta
+    meta = table.calibration_meta
     means = _per_x0_means(table.samples, meta)
     i = int(np.argmax(means))
     sets = meta.num_x_per_x0
@@ -249,20 +250,6 @@ def meta_hash(meta: CalibrationMeta) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def table_to_dict(table: ThetaTable) -> dict:
-    d = to_json(table)
-    d["calibration_meta"] = d.pop("meta")
-    return d
-
-
-def table_from_dict(d: dict) -> ThetaTable:
-    """The table of a file's JSON value, laid out as ``table_to_dict``
-    writes it; an error names the file's key (``calibration_meta.seed``)."""
-    d = dict(d)
-    d["meta"] = _from_json_at("calibration_meta", CalibrationMeta, d.pop("calibration_meta"))
-    return from_json(ThetaTable, d)
-
-
 def theta_cache_dir() -> Path:
     env = os.environ.get(ENV_CACHE_DIR)
     if env:
@@ -276,15 +263,15 @@ def theta_cache_path(n: int, meta: CalibrationMeta) -> Path:
 
 
 def save_theta_table(table: ThetaTable) -> Path:
-    path = theta_cache_path(table.n, table.meta)
+    path = theta_cache_path(table.n, table.calibration_meta)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_json(path, table_to_dict(table))
+    write_json(path, table)
     return path
 
 
 def load_theta_table(path: str | os.PathLike) -> ThetaTable:
     """Read a table file; ValueError, naming the file, if it does not hold one."""
-    return read_json(path, "theta table", table_from_dict)
+    return read_json(path, "theta table", ThetaTable)
 
 
 def cached_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> ThetaTable:
@@ -300,7 +287,7 @@ def cached_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> Theta
     if path.exists():
         try:
             table = load_theta_table(path)
-            if (table.n, table.meta) != (n, meta):
+            if (table.n, table.calibration_meta) != (n, meta):
                 raise ValueError(f"bad theta table {path}: made for other inputs")
             return table
         except ValueError as exc:

@@ -15,6 +15,8 @@ from enum import Enum
 import numpy as np
 from scipy.special import ndtr
 
+from .codec import FieldError
+
 FOUR_PI = 4.0 * math.pi
 
 # Half-width of the acceptance band in noise standard deviations.
@@ -30,7 +32,7 @@ def require_finite(obj) -> None:
     for f in fields(obj):
         value = getattr(obj, f.name)
         if not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+            raise FieldError(f.name, f"must be finite, got {value}")
 
 
 class Verdict(Enum):
@@ -64,20 +66,37 @@ class SignalParams:
     def __post_init__(self) -> None:
         require_finite(self)
         if self.transmit_power <= 0:
-            raise ValueError(f"transmit_power must be positive, got {self.transmit_power}")
+            raise FieldError("transmit_power", f"must be positive, got {self.transmit_power}")
         if self.wavelength <= 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+            raise FieldError("wavelength", f"must be positive, got {self.wavelength}")
         if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+            raise FieldError("noise_sigma", f"must be nonnegative, got {self.noise_sigma}")
         if not 2.0 <= self.path_loss_exponent <= 4.0:
-            raise ValueError(
-                f"path_loss_exponent must lie in [2, 4], got {self.path_loss_exponent}"
+            raise FieldError(
+                "path_loss_exponent", f"must lie in [2, 4], got {self.path_loss_exponent}"
             )
 
     @property
     def alpha(self) -> float:
         """Reference length wavelength/(4*pi), metres."""
         return self.wavelength / FOUR_PI
+
+
+@dataclass(frozen=True)
+class Signal:
+    """A channel without its noise, as an experiment config sets it: the
+    config's noise mode picks the sigma that ``with_noise`` adds. Checked
+    as ``SignalParams`` checks the same fields."""
+
+    transmit_power: float
+    wavelength: float
+    path_loss_exponent: float = 2.0
+
+    def __post_init__(self) -> None:
+        self.with_noise(0.0)
+
+    def with_noise(self, sigma: float) -> SignalParams:
+        return SignalParams(self.transmit_power, self.wavelength, sigma, self.path_loss_exponent)
 
 
 @dataclass(frozen=True)

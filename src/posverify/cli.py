@@ -8,11 +8,12 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .calibration import estimate_theta_table, table_to_dict, theta_star_source
+from .calibration import estimate_theta_table, theta_star_source
 from .codec import write_csv, write_json
 from .experiment import (
     NOISE_MODES,
     PRESETS,
+    CalibrationCounts,
     ExperimentConfig,
     NoiseMode,
     emit_report,
@@ -40,12 +41,12 @@ def _cmd_theta(args) -> int:
     if args.seed is not None:
         changes["seed"] = args.seed
     if args.samples is not None:
-        changes["calibration_positions"], changes["calibration_sets"] = args.samples
+        changes["calibration"] = CalibrationCounts(*args.samples)
     if args.noise_mode is not None or args.sigma is not None:
         changes["noise_mode"] = NoiseMode(args.noise_mode or config.noise_mode.mode, args.sigma)
     meta = replace(config, **changes).calibration_meta()
     table = estimate_theta_table(config.n if args.n is None else args.n, meta, workers=args.workers)
-    write_json(args.out, table_to_dict(table))
+    write_json(args.out, table)
     print(f"theta_star={table.theta_star} samples={len(table.samples)} -> {args.out}")
     src = theta_star_source(table)
     print(
@@ -74,12 +75,13 @@ def _cmd_run(args) -> int:
     _require_directory(args.report)
     config = _apply_overrides(_base_config(args), args)
     report = run_experiment(config, workers=args.workers)
+    agg = report.aggregate
     print(
         f"n={config.n} n0={config.n0} filter={config.filter_mode} "
-        f"theta_star={report.theta_star} trials={config.trials} "
-        f"success_rate={report.success_rate:.3f} "
-        f"mean_genuine_retained={report.mean_genuine_retained:.2f} "
-        f"mean_passes={report.mean_rounds:.2f}"
+        f"theta_star={report.theta.theta_star} trials={config.trials} "
+        f"success_rate={agg.success_rate:.3f} "
+        f"mean_genuine_retained={agg.mean_genuine_retained:.2f} "
+        f"mean_passes={agg.mean_rounds:.2f}"
     )
     if args.report is not None:
         emit_report(report, args.format, args.report)
@@ -105,18 +107,18 @@ def _cmd_sweep(args) -> int:
     configs = [replace(base, n0=n0) for n0 in _parse_span(args.n0)]
     rows = []
     for config in configs:
-        report = run_experiment(config, workers=args.workers)
+        agg = run_experiment(config, workers=args.workers).aggregate
         rows.append(
             {
                 "n0": config.n0,
-                "success_rate": report.success_rate,
-                "mean_genuine_retained": report.mean_genuine_retained,
-                "mean_passes": report.mean_rounds,
+                "success_rate": agg.success_rate,
+                "mean_genuine_retained": agg.mean_genuine_retained,
+                "mean_passes": agg.mean_rounds,
             }
         )
         print(
-            f"n0={config.n0}: success_rate={report.success_rate:.3f} "
-            f"mean_genuine_retained={report.mean_genuine_retained:.2f}"
+            f"n0={config.n0}: success_rate={agg.success_rate:.3f} "
+            f"mean_genuine_retained={agg.mean_genuine_retained:.2f}"
         )
     if args.report is not None:
         if args.format == "json":
@@ -154,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     theta.add_argument("--n", type=int)
     theta.add_argument("--noise-mode", choices=NOISE_MODES)
     theta.add_argument("--sigma", type=float)
-    theta.add_argument("--samples", type=int, nargs=2, metavar=("X0", "SETS"))
+    theta.add_argument("--samples", type=int, nargs=2, metavar=("POSITIONS", "SETS"))
     theta.add_argument("--seed", type=int)
     theta.add_argument("--workers", type=int, default=1)
     theta.add_argument("--out", required=True)

@@ -3,12 +3,15 @@
 ``to_json`` turns a dataclass into a dict of its fields, leaving out fields
 that are ``None``; tuples become lists, frozensets sorted lists, and dict
 keys are kept. ``from_json`` reverses it from the field type hints: a key
-that is absent takes the field's default, a value that is already an
+that is absent takes the field's default, and one without a default is
+named as missing before the object is built; a value that is already an
 instance of its type passes through, an ``int`` takes only an integer and
 a ``float`` only a number (neither takes a bool; a ``float`` keeps a JSON
 integer as it is), a ``str`` only a string, and a tuple or frozenset only
-an array; an error inside a field or dict value names its key, by dotted
-path when the value is nested (``region.x_max``). Each write
+an array. An error inside a field, dict value or array element names its
+key or index, by dotted path when the value is nested (``region.x_max``,
+``per_trial.1.trial``); a dataclass's check of one of its own fields raises
+``FieldError``, so it is named the same way. Each write
 goes to a temp file of its own, ``<name>.<random hex>.tmp`` next to the
 target, and is renamed into place, so a reader never sees half a file and
 writers of one path never share a temp file; the temp file is removed when
@@ -28,6 +31,16 @@ import secrets
 import types
 import typing
 from pathlib import Path
+
+
+class FieldError(ValueError):
+    """A value one field does not take: ``key`` names the field, by dotted
+    path once the codec has named the objects that hold it
+    (``faking.grid_step``), and ``reason`` says why."""
+
+    def __init__(self, key, reason: str):
+        super().__init__(f"{key}: {reason}")
+        self.key, self.reason = key, reason
 
 
 def to_json(obj):
@@ -57,12 +70,17 @@ def from_json(tp, data):
     if origin is None and isinstance(data, tp):
         return data
     if (dataclasses.is_dataclass(tp) or origin is dict) and not isinstance(data, dict):
-        raise TypeError(f"expected a JSON object for {tp}, got {type(data).__name__}")
+        raise TypeError(f"expected a JSON object, got {type(data).__name__}")
     if dataclasses.is_dataclass(tp):
         hints = typing.get_type_hints(tp)
-        unknown = sorted(set(data) - {f.name for f in dataclasses.fields(tp)})
+        fields = dataclasses.fields(tp)
+        unknown = sorted(set(data) - {f.name for f in fields})
         if unknown:
             raise ValueError(f"unknown {tp.__name__} keys {unknown}")
+        for f in fields:
+            required = f.default is f.default_factory is dataclasses.MISSING
+            if required and f.name not in data:
+                raise FieldError(f.name, "missing")
         return tp(**{k: _from_json_at(k, hints[k], v) for k, v in data.items()})
     if origin in (typing.Union, types.UnionType):
         if data is None:
@@ -72,31 +90,33 @@ def from_json(tp, data):
     if origin in (tuple, frozenset):
         if not isinstance(data, (list, origin)):
             raise TypeError(f"expected a JSON array, got {type(data).__name__}")
-        return origin(from_json(args[0], v) for v in data)
+        return origin(_from_json_at(i, args[0], v) for i, v in enumerate(data))
     if origin is dict:
         return {args[0](k): _from_json_at(k, args[1], v) for k, v in data.items()}
     return data
 
 
 def _from_json_at(key, tp, data):
-    """``from_json`` of the value at ``key``, or ``tp(data)`` where ``tp``
-    is a function that decodes it. An error names its key, and one inside
-    nested values names their keys' dotted path, ``a.b.c``."""
+    """``from_json`` of the value at ``key``. An error names its key, and
+    one inside nested values their keys' dotted path, ``a.b.c``; a wrong
+    JSON type stays a ``TypeError``, any other error is a ``FieldError``."""
     try:
-        return tp(data) if isinstance(tp, types.FunctionType) else from_json(tp, data)
+        return from_json(tp, data)
     except (TypeError, ValueError) as exc:
         inner = getattr(exc, "key", None)
         path, reason = (f"{key}.{inner}", exc.reason) if inner else (str(key), str(exc))
-        err = type(exc)(f"{path}: {reason}")
+        if not isinstance(exc, TypeError):
+            raise FieldError(path, reason) from None
+        err = TypeError(f"{path}: {reason}")
         err.key, err.reason = path, reason
         raise err from None
 
 
-def read_json(path, what: str, decode):
-    """``decode`` of the JSON value in the file at ``path``.
+def read_json(path, what: str, tp):
+    """The ``tp`` that the JSON value in the file at ``path`` decodes to.
 
     An unreadable file raises ``OSError``, and a file that is not JSON or
-    that ``decode`` rejects raises ``ValueError``; both name ``what`` was
+    that does not decode raises ``ValueError``; both name ``what`` was
     being read and the path.
     """
     p = Path(path)
@@ -107,8 +127,8 @@ def read_json(path, what: str, decode):
     except ValueError as exc:  # not UTF-8 text, or not JSON
         raise ValueError(f"bad {what} {p}: invalid JSON: {exc}") from exc
     try:
-        return decode(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_json(tp, data)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"bad {what} {p}: {exc}") from exc
 
 

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .calibration import CalibrationMeta, ThetaTable, cached_theta_table, load_theta_table
-from .channel import SignalParams, ideal_received_power
-from .codec import _from_json_at, from_json, read_json, to_json, write_csv, write_json
+from .channel import Signal, SignalParams, ideal_received_power
+from .codec import FieldError, read_json, write_csv, write_json
 from .pool import pool_map
 from .protocol import (
     FilterResult,
@@ -43,9 +42,9 @@ class NoiseMode:
 
     def __post_init__(self) -> None:
         if self.mode not in NOISE_MODES:
-            raise ValueError(f"mode must be one of {sorted(NOISE_MODES)}, got {self.mode!r}")
+            raise FieldError("mode", f"must be one of {sorted(NOISE_MODES)}, got {self.mode!r}")
         if self.sigma is not None and not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
+            raise FieldError("sigma", f"must be finite, got {self.sigma}")
         if self.mode == "explicit":
             if self.sigma is None or self.sigma <= 0:
                 raise ValueError("explicit noise needs a positive sigma")
@@ -70,48 +69,59 @@ def compute_noise_scale(signal: SignalParams, region: Region) -> float:
 
 
 @dataclass(frozen=True)
+class CalibrationCounts:
+    """A theta table's sample counts: faker positions, and genuine sets
+    drawn against each."""
+
+    positions: int = 25
+    sets: int = 20
+
+    def __post_init__(self) -> None:
+        for name in ("positions", "sets"):
+            if getattr(self, name) < 1:
+                raise FieldError(name, f"must be positive, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: who gets deployed where, channel, filter, trials."""
+    """One experiment: who gets deployed where, channel, filter, trials.
+    Its fields are a config file's keys."""
 
     n: int
     n0: int
     region: Region
-    signal: SignalParams
+    signal: Signal
     noise_mode: NoiseMode
     faking: FakingSearchConfig
     filter_mode: str = "standard"
     theta_source: str = RECALIBRATE
     seed: int = 0
     trials: int = 1
-    calibration_positions: int = 25
-    calibration_sets: int = 20
+    calibration: CalibrationCounts = CalibrationCounts()
 
     def __post_init__(self) -> None:
         if not 2 <= self.n0 <= self.n:
             raise ValueError(f"need 2 <= n0 <= n, got n0={self.n0}, n={self.n}")
         if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
+            raise FieldError("trials", f"must be positive, got {self.trials}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise FieldError("seed", f"must be nonnegative, got {self.seed}")
         if self.filter_mode not in FILTER_MODES:
-            raise ValueError(
-                f"filter_mode must be one of {sorted(FILTER_MODES)}, got {self.filter_mode!r}"
+            raise FieldError(
+                "filter_mode", f"must be one of {sorted(FILTER_MODES)}, got {self.filter_mode!r}"
             )
-        if self.signal.noise_sigma != 0.0:
-            raise ValueError("set noise through noise_mode, not on signal")
-        for name in ("calibration_positions", "calibration_sets"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not isinstance(self.signal, Signal):  # a SignalParams would carry its own noise
+            raise FieldError("signal", "must be a Signal; set noise through noise_mode")
 
     @property
     def n1(self) -> int:
         return self.n - self.n0
 
     def noise_sigma(self) -> float:
-        return self.noise_mode.sigma_for(self.signal, self.region)
+        return self.noise_mode.sigma_for(self.signal.with_noise(0.0), self.region)
 
     def resolved_signal(self) -> SignalParams:
-        return replace(self.signal, noise_sigma=self.noise_sigma())
+        return self.signal.with_noise(self.noise_sigma())
 
     def calibration_meta(self) -> CalibrationMeta:
         """What this config's theta table is calibrated from."""
@@ -119,51 +129,14 @@ class ExperimentConfig:
             self.resolved_signal(),
             self.region,
             self.faking,
-            self.calibration_positions,
-            self.calibration_sets,
+            self.calibration.positions,
+            self.calibration.sets,
             self.seed,
         )
 
 
-def config_to_dict(c: ExperimentConfig) -> dict:
-    """The config file layout: ``signal`` without ``noise_sigma`` (noise is
-    set through ``noise_mode``), and the calibration sample counts nested
-    as ``calibration: {positions, sets}``."""
-    d = to_json(c)
-    del d["signal"]["noise_sigma"]
-    d["calibration"] = {
-        "positions": d.pop("calibration_positions"),
-        "sets": d.pop("calibration_sets"),
-    }
-    return d
-
-
-def config_from_dict(d) -> ExperimentConfig:
-    """The config of a file's JSON value, laid out as ``config_to_dict``
-    writes it; an error names its key, a nested one by dotted path."""
-    d = from_json(dict[str, object], d)
-    # the file spells the counts one way only, as config_to_dict writes them
-    flat = sorted({"calibration_positions", "calibration_sets"} & d.keys())
-    if flat:
-        raise ValueError(f"unknown ExperimentConfig keys {flat}: the counts go under calibration")
-    calibration = _from_json_at("calibration", dict[str, object], d.pop("calibration", {}))
-    unknown = sorted(calibration.keys() - {"positions", "sets"})
-    if unknown:
-        raise ValueError(f"unknown ExperimentConfig keys {[f'calibration.{k}' for k in unknown]}")
-    for k, v in calibration.items():
-        d[f"calibration_{k}"] = _from_json_at(f"calibration.{k}", _positive_count, v)
-    return from_json(ExperimentConfig, d)
-
-
-def _positive_count(data) -> int:
-    count = from_json(int, data)
-    if count < 1:
-        raise ValueError(f"must be positive, got {count}")
-    return count
-
-
 def load_config(path) -> ExperimentConfig:
-    return read_json(path, "config", config_from_dict)
+    return read_json(path, "config", ExperimentConfig)
 
 
 def _spawned_seed(master: int, domain: int, index: int = 0) -> int:
@@ -207,7 +180,7 @@ def resolve_theta_table(config: ExperimentConfig, workers: int = 1) -> ThetaTabl
     # a table from another channel or region holds another adversary's
     # optimum; faking, sample counts and seed may differ
     for group in ("signal", "region"):
-        have, want = getattr(table.meta, group), getattr(meta, group)
+        have, want = getattr(table.calibration_meta, group), getattr(meta, group)
         for f in fields(want):
             if getattr(have, f.name) != getattr(want, f.name):
                 raise ValueError(
@@ -287,41 +260,32 @@ def step_rows(result: FilterResult, n0: int) -> tuple[StepRow, ...]:
 
 
 @dataclass(frozen=True)
-class ExperimentReport:
-    config: ExperimentConfig
+class ReportTheta:
+    """The allowance a run filtered with: theta_star, and the schedule of
+    allowances its filter passes stepped through."""
+
     theta_star: int
     schedule: tuple[float, ...]
-    per_trial: tuple[TrialRecord, ...]
+
+
+@dataclass(frozen=True)
+class ReportAggregate:
+    """What the trials add up to, and the first trial's per-pass table."""
+
     success_rate: float
     mean_genuine_retained: float
     mean_rounds: float
     step_table: tuple[StepRow, ...]
 
 
-# report layout: these fields are grouped under "theta" and "aggregate"
-_THETA_KEYS = ("theta_star", "schedule")
-_AGGREGATE_KEYS = ("success_rate", "mean_genuine_retained", "mean_rounds", "step_table")
+@dataclass(frozen=True)
+class ExperimentReport:
+    """One run; its fields are a report file's keys."""
 
-
-def report_to_dict(r: ExperimentReport) -> dict:
-    d = to_json(r)
-    d["config"] = config_to_dict(r.config)
-    d["theta"] = {k: d.pop(k) for k in _THETA_KEYS}
-    d["aggregate"] = {k: d.pop(k) for k in _AGGREGATE_KEYS}
-    return d
-
-
-def report_from_dict(d: dict) -> ExperimentReport:
-    """The report of a file's JSON value, laid out as ``report_to_dict``
-    writes it; an error names the file's key (``config.region.x_max``,
-    ``theta.theta_star``)."""
-    d = dict(d)
-    hints = typing.get_type_hints(ExperimentReport)
-    for group, keys in (("theta", _THETA_KEYS), ("aggregate", _AGGREGATE_KEYS)):
-        for k, v in _from_json_at(group, dict[str, object], d.pop(group)).items():
-            d[k] = _from_json_at(f"{group}.{k}", hints[k], v) if k in keys else v
-    d["config"] = _from_json_at("config", config_from_dict, d["config"])
-    return from_json(ExperimentReport, d)
+    config: ExperimentConfig
+    per_trial: tuple[TrialRecord, ...]
+    theta: ReportTheta
+    aggregate: ReportAggregate
 
 
 def _trial(job) -> TrialRecord:
@@ -368,28 +332,29 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
     return ExperimentReport(
         config=config,
-        theta_star=table.theta_star,
-        schedule=schedule,
         per_trial=tuple(records),
-        success_rate=sum(r.success for r in records) / len(records),
-        mean_genuine_retained=sum(r.genuine_retained for r in records) / len(records),
-        mean_rounds=sum(len(r.result.rounds) for r in records) / len(records),
-        step_table=step_rows(records[0].result, config.n0),
+        theta=ReportTheta(table.theta_star, schedule),
+        aggregate=ReportAggregate(
+            success_rate=sum(r.success for r in records) / len(records),
+            mean_genuine_retained=sum(r.genuine_retained for r in records) / len(records),
+            mean_rounds=sum(len(r.result.rounds) for r in records) / len(records),
+            step_table=step_rows(records[0].result, config.n0),
+        ),
     )
 
 
 def emit_report(report: ExperimentReport, fmt: str, path) -> None:
     """Write the report: ``json`` round-trips, ``csv`` is the step table."""
     if fmt == "json":
-        write_json(path, report_to_dict(report))
+        write_json(path, report)
     elif fmt == "csv":
-        write_csv(path, CSV_COLUMNS, (row.csv_cells() for row in report.step_table))
+        write_csv(path, CSV_COLUMNS, (row.csv_cells() for row in report.aggregate.step_table))
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
 def load_report(path) -> ExperimentReport:
-    return read_json(path, "report", report_from_dict)
+    return read_json(path, "report", ExperimentReport)
 
 
 def _preset(n: int, n0: int, noise: str, filter_mode: str, seed: int) -> ExperimentConfig:
@@ -402,7 +367,7 @@ def _preset(n: int, n0: int, noise: str, filter_mode: str, seed: int) -> Experim
         n=n,
         n0=n0,
         region=region,
-        signal=SignalParams(transmit_power=1.0, wavelength=0.125),
+        signal=Signal(transmit_power=1.0, wavelength=0.125),
         noise_mode=NoiseMode(noise),
         faking=FakingSearchConfig(exclusion_radius=0.2 * diag, grid_step=diag / 30.0),
         filter_mode=filter_mode,

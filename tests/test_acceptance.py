@@ -14,6 +14,7 @@ from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import genuine_acceptance_prob, malicious_approval_bound, threshold
 from posverify.channel import (
     TRUTHFUL_ACCEPT_PROB,
+    Signal,
     SignalParams,
     deception_probability,
     ideal_received_power,
@@ -100,7 +101,7 @@ def test_criterion_03_near_noiseless_calibration(neg_table):
 
 def test_criterion_04_majority_boundary():
     rates = [
-        hundred_trials(name).success_rate
+        hundred_trials(name).aggregate.success_rate
         for name in ("neg-noise-52", "neg-noise-51", "neg-noise-101-52", "neg-noise-101-51")
     ]
     verdict(
@@ -137,7 +138,7 @@ def test_criterion_06_noisy_regime(neg_table, sig_table):
     wider = sig_table.theta_star > neg_table.theta_star
     report = hundred_trials("sig-noise-62")
     cfg = report.config
-    assert cfg.n0 >= math.ceil((cfg.n + report.theta_star) / 2)
+    assert cfg.n0 >= math.ceil((cfg.n + report.theta.theta_star) / 2)
 
     lost_some_first_round = 0
     malicious_gone_by_third = 0
@@ -153,7 +154,7 @@ def test_criterion_06_noisy_regime(neg_table, sig_table):
             ends_quiet += 1
     ok = (
         wider
-        and report.success_rate >= 0.95
+        and report.aggregate.success_rate >= 0.95
         and lost_some_first_round > 0
         and malicious_gone_by_third == cfg.trials
         and ends_quiet == cfg.trials
@@ -162,7 +163,7 @@ def test_criterion_06_noisy_regime(neg_table, sig_table):
         6,
         ok,
         f"theta_star noisy {sig_table.theta_star} vs near-noiseless {neg_table.theta_star}; "
-        f"success {report.success_rate:.2f}; genuine lost in round 1 in "
+        f"success {report.aggregate.success_rate:.2f}; genuine lost in round 1 in "
         f"{lost_some_first_round}/100 trials; malicious cleared by round 3 in "
         f"{malicious_gone_by_third}/100",
     )
@@ -230,7 +231,7 @@ def test_criterion_08_analytic_predictors():
         n=30,
         n0=15,
         region=region,
-        signal=SignalParams(transmit_power=1.0, wavelength=0.125),
+        signal=Signal(transmit_power=1.0, wavelength=0.125),
         noise_mode=NoiseMode("significant"),
         faking=FakingSearchConfig(exclusion_radius=0.2 * diag, grid_step=diag / 30.0),
         seed=0,

@@ -20,13 +20,12 @@ from posverify.calibration import (
     malicious_approval_bound,
     meta_hash,
     save_theta_table,
-    table_from_dict,
-    table_to_dict,
     theta_cache_path,
     theta_star_source,
     threshold,
 )
 from posverify.channel import SignalParams, ideal_received_power
+from posverify.codec import from_json, to_json
 from posverify.experiment import PRESETS, NoiseMode
 
 
@@ -119,7 +118,7 @@ def preset_table(name, seed):
     cfg = PRESETS[name]
     meta = CalibrationMeta(
         cfg.resolved_signal(), cfg.region, cfg.faking,
-        cfg.calibration_positions, cfg.calibration_sets, seed,
+        cfg.calibration.positions, cfg.calibration.sets, seed,
     )
     return cached_theta_table(cfg.n, meta)
 
@@ -156,7 +155,7 @@ class TestEstimateThetaTable:
 
     def test_rejects_negative_seed(self):
         # numpy's SeedSequence would fail later without naming the seed
-        with pytest.raises(ValueError, match="seed must be nonnegative, got -2"):
+        with pytest.raises(ValueError, match="seed: must be nonnegative, got -2"):
             sig_meta(seed=-2)
 
     def test_one_cell_sets_negligible_noise_theta_star(self):
@@ -168,7 +167,7 @@ class TestEstimateThetaTable:
         cfg = PRESETS["neg-noise-52"]
         meta = CalibrationMeta(
             cfg.resolved_signal(), cfg.region, cfg.faking,
-            cfg.calibration_positions, cfg.calibration_sets, seed=0,
+            cfg.calibration.positions, cfg.calibration.sets, seed=0,
         )
         n_genuine = math.ceil(cfg.n / 2)
         sets = meta.num_x_per_x0
@@ -253,14 +252,14 @@ class TestLockstepChunks:
 class TestPersistence:
     def test_json_round_trip_exact(self):
         t = small_table()
-        back = table_from_dict(json.loads(json.dumps(table_to_dict(t))))
+        back = from_json(ThetaTable, json.loads(json.dumps(to_json(t))))
         assert back == t
 
     def test_save_load(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path))
         t = small_table()
         path = save_theta_table(t)
-        assert path.name == f"theta_n6_{meta_hash(t.meta)}.json"
+        assert path.name == f"theta_n6_{meta_hash(t.calibration_meta)}.json"
         assert load_theta_table(path) == t
 
     def test_cached_table_roundtrips_and_hits(self, tmp_path, monkeypatch):
@@ -300,8 +299,8 @@ class TestPersistence:
         kwargs = dict(n=6, meta=sig_meta(2, 2, seed=3))
         first = cached_theta_table(**kwargs)
         (path,) = tmp_path.glob("theta_n6_*.json")
-        path.write_text(json.dumps({**table_to_dict(first), "theta_star": -1}))
-        with pytest.warns(UserWarning, match="theta_star must be nonnegative"):
+        path.write_text(json.dumps({**to_json(first), "theta_star": -1}))
+        with pytest.warns(UserWarning, match="theta_star: must be nonnegative"):
             assert cached_theta_table(**kwargs) == first
         assert load_theta_table(path) == first
 
@@ -310,7 +309,7 @@ class TestPersistence:
         kwargs = dict(n=6, meta=sig_meta(3, 2, seed=42))
         first = cached_theta_table(**kwargs)
         (path,) = tmp_path.glob("theta_n6_*.json")
-        path.write_text(json.dumps(table_to_dict(small_table(seed=7))))
+        path.write_text(json.dumps(to_json(small_table(seed=7))))
         with pytest.warns(UserWarning, match="made for other inputs"):
             assert cached_theta_table(**kwargs) == first
 
@@ -334,7 +333,7 @@ class TestPersistence:
     def test_hash_tracks_meta(self):
         t = small_table(seed=1)
         u = small_table(seed=2)
-        assert meta_hash(t.meta) != meta_hash(u.meta)
-        assert meta_hash(t.meta) == meta_hash(
+        assert meta_hash(t.calibration_meta) != meta_hash(u.calibration_meta)
+        assert meta_hash(t.calibration_meta) == meta_hash(
             CalibrationMeta(sig_params(), REGION, FAKING, 3, 2, 1)
         )

@@ -16,21 +16,20 @@ from posverify.calibration import (
     _cell_x0,
     estimate_theta_table,
     load_theta_table,
-    table_to_dict,
 )
 import posverify.cli as cli
 from posverify.cli import main
 from posverify.codec import write_json
 from posverify.experiment import (
     PRESETS,
+    CalibrationCounts,
     ExperimentConfig,
     NoiseMode,
-    config_to_dict,
     load_config,
     load_report,
 )
 from posverify.adversary import FakingSearchConfig, Region
-from posverify.channel import SignalParams
+from posverify.channel import Signal
 
 
 @pytest.fixture
@@ -41,16 +40,15 @@ def config_path(tmp_path):
         n=8,
         n0=6,
         region=region,
-        signal=SignalParams(transmit_power=1.0, wavelength=0.125),
+        signal=Signal(transmit_power=1.0, wavelength=0.125),
         noise_mode=NoiseMode("significant"),
         faking=FakingSearchConfig(exclusion_radius=0.2 * diag, grid_step=diag / 10.0),
         trials=2,
         seed=4,
-        calibration_positions=3,
-        calibration_sets=2,
+        calibration=CalibrationCounts(positions=3, sets=2),
     )
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(cfg)))
+    write_json(path, cfg)
     return path
 
 
@@ -144,7 +142,7 @@ class TestBadInputs:
             ({"theta_source": [1]}, "theta_source: expected a string, got [1]"),
             ({"filter_mode": [1]}, "filter_mode: expected a string, got [1]"),
             ({"calibration": {"positions": 3, "foo": 1}},
-             "unknown ExperimentConfig keys ['calibration.foo']"),
+             "calibration: unknown CalibrationCounts keys ['foo']"),
             ({"calibration": [1]}, "calibration: expected a JSON object"),
             (None, "expected a JSON object"),  # the file holds an array
         ],
@@ -169,12 +167,12 @@ class TestBadInputs:
     @pytest.mark.parametrize(
         "keys,value,why",
         [
-            (("faking", "exclusion_radius"), float("nan"), "faking: exclusion_radius"),
-            (("faking", "grid_step"), float("nan"), "faking: grid_step"),
-            (("signal", "transmit_power"), float("nan"), "signal: transmit_power"),
-            (("signal", "transmit_power"), float("inf"), "signal: transmit_power"),
-            (("region", "x_max"), float("inf"), "region: x_max"),
-            (("noise_mode",), {"mode": "explicit", "sigma": float("nan")}, "noise_mode: sigma"),
+            (("faking", "exclusion_radius"), float("nan"), "faking.exclusion_radius"),
+            (("faking", "grid_step"), float("nan"), "faking.grid_step"),
+            (("signal", "transmit_power"), float("nan"), "signal.transmit_power"),
+            (("signal", "transmit_power"), float("inf"), "signal.transmit_power"),
+            (("region", "x_max"), float("inf"), "region.x_max"),
+            (("noise_mode",), {"mode": "explicit", "sigma": float("nan")}, "noise_mode.sigma"),
         ],
     )
     def test_config_non_finite_field_named(self, config_path, tmp_path, capsys,
@@ -183,7 +181,7 @@ class TestBadInputs:
         path = _edited(config_path, tmp_path, keys, value)
         assert main(["theta", "--config", str(path), "--out", str(tmp_path / "t.json")]) == 1
         err = capsys.readouterr().err
-        assert f"error: bad config {path}: {why} must be finite, got " in err
+        assert f"error: bad config {path}: {why}: must be finite, got " in err
 
     @pytest.mark.parametrize(
         "args,seed",
@@ -198,7 +196,7 @@ class TestBadInputs:
         if "--seed" not in args:
             config_path = _edited(config_path, tmp_path, ("seed",), seed)
         assert main([*args, "--config", str(config_path)]) == 1
-        assert f"seed must be nonnegative, got {seed}" in capsys.readouterr().err
+        assert f"seed: must be nonnegative, got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "t.json").exists()
 
 
@@ -208,7 +206,7 @@ class TestTheta:
         assert main(["theta", "--config", str(config_path), "--out", str(out)]) == 0
         table = load_theta_table(out)
         assert table.n == 8
-        assert table.meta == load_config(config_path).calibration_meta()
+        assert table.calibration_meta == load_config(config_path).calibration_meta()
         assert "theta_star=" in capsys.readouterr().out
 
     def test_names_the_position_that_set_theta_star(self, config_path, tmp_path, capsys):
@@ -223,7 +221,7 @@ class TestTheta:
         assert got, line
         i, x, y, mean, stderr, sets, margin = got.groups()
         table = load_theta_table(out)
-        meta = table.meta
+        meta = table.calibration_meta
         assert int(sets) == meta.num_x_per_x0 == 2
         rows = np.reshape(table.samples, (meta.num_x0, meta.num_x_per_x0))
         i = int(i)
@@ -258,13 +256,12 @@ class TestTheta:
         assert code == 0
         cfg = replace(
             load_config(config_path),
-            calibration_positions=2,
-            calibration_sets=1,
+            calibration=CalibrationCounts(positions=2, sets=1),
             seed=7,
             noise_mode=NoiseMode("negligible"),
         )
         want = tmp_path / "want.json"
-        write_json(want, table_to_dict(estimate_theta_table(12, cfg.calibration_meta())))
+        write_json(want, estimate_theta_table(12, cfg.calibration_meta()))
         assert out.read_bytes() == want.read_bytes()
 
     def test_explicit_mode_needs_sigma(self, tmp_path, capsys):
@@ -279,7 +276,7 @@ class TestTheta:
         # perfbench's theta workload leans on this to share the presets' regime
         out = tmp_path / "t.json"
         assert main(["theta", "--n", "100", "--samples", "1", "1", "--out", str(out)]) == 0
-        meta = load_theta_table(out).meta
+        meta = load_theta_table(out).calibration_meta
         preset = PRESETS["sig-noise-q-55"]
         assert meta.signal == preset.resolved_signal()
         assert meta.region == preset.region
@@ -288,8 +285,8 @@ class TestTheta:
     @pytest.mark.parametrize(
         "samples,why",
         [
-            (("0", "5"), "calibration_positions must be positive, got 0"),
-            (("3", "-2"), "calibration_sets must be positive, got -2"),
+            (("0", "5"), "positions: must be positive, got 0"),
+            (("3", "-2"), "sets: must be positive, got -2"),
         ],
     )
     def test_non_positive_sample_count_named(self, tmp_path, capsys, samples, why):
@@ -306,10 +303,10 @@ class TestTheta:
         d["calibration_meta"]["num_x0"] = 0
         table.write_text(json.dumps(d))
         cfg = replace(load_config(config_path), theta_source=str(table))
-        config_path.write_text(json.dumps(config_to_dict(cfg)))
+        write_json(config_path, cfg)
         capsys.readouterr()
         assert main(["run", "--config", str(config_path)]) == 1
-        why = "calibration_meta: num_x0 must be positive, got 0"
+        why = "calibration_meta.num_x0: must be positive, got 0"
         assert capsys.readouterr().err == f"error: bad theta table {table}: {why}\n"
 
     def test_sigma_rejected_for_derived_modes(self, tmp_path, capsys):

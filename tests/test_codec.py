@@ -1,6 +1,5 @@
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -9,9 +8,9 @@ from hypothesis import strategies as st
 import posverify.codec as codec
 from posverify.adversary import FakingSearchConfig, Region
 from posverify.calibration import CalibrationMeta, ThetaTable
-from posverify.channel import SignalParams
-from posverify.codec import from_json, read_json, to_json, write_csv, write_json
-from posverify.experiment import FILTER_MODES, ExperimentConfig, NoiseMode
+from posverify.channel import Signal, SignalParams
+from posverify.codec import FieldError, from_json, read_json, to_json, write_csv, write_json
+from posverify.experiment import FILTER_MODES, CalibrationCounts, ExperimentConfig, NoiseMode
 from posverify.protocol import FilterResult, FilterRound
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -64,7 +63,7 @@ def tables(draw):
         theta_star=draw(counts),
         quantiles={t / 10: draw(nonnegative) for t in range(1, 10)},
         samples=tuple(draw(st.lists(nonnegative, min_size=cells, max_size=cells))),
-        meta=meta,
+        calibration_meta=meta,
     )
 
 
@@ -81,15 +80,16 @@ def configs(draw):
         n=n,
         n0=draw(st.integers(2, n)),
         region=draw(regions()),
-        signal=replace(draw(signals), noise_sigma=0.0),
+        signal=Signal(
+            draw(positive), draw(positive), path_loss_exponent=draw(st.floats(2.0, 4.0))
+        ),
         noise_mode=draw(noise_modes),
         faking=draw(fakings),
         filter_mode=draw(st.sampled_from(FILTER_MODES)),
         theta_source=draw(st.text(max_size=20)),
         seed=draw(st.integers(0, 2**64 - 1)),
         trials=draw(st.integers(1, 1000)),
-        calibration_positions=draw(st.integers(1, 100)),
-        calibration_sets=draw(st.integers(1, 100)),
+        calibration=CalibrationCounts(draw(st.integers(1, 100)), draw(st.integers(1, 100))),
     )
 
 
@@ -161,9 +161,10 @@ class TestDecoding:
             from_json(Region, {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1, "z_max": 2})
 
     def test_non_object_rejected(self):
-        with pytest.raises(TypeError, match="JSON object"):
+        # named as JSON, not as a Python type
+        with pytest.raises(TypeError, match="^expected a JSON object, got list$"):
             from_json(Region, [0, 1, 0, 1])
-        with pytest.raises(TypeError, match="JSON object"):
+        with pytest.raises(TypeError, match="^expected a JSON object, got list$"):
             from_json(dict[float, float], [1.0])
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
@@ -221,6 +222,33 @@ class TestDecoding:
             from_json(CalibrationMeta, d)
         with pytest.raises(TypeError, match="^0.5: expected an integer, got 2.5"):
             from_json(dict[float, int], {"0.5": 2.5})
+
+    def test_missing_key_named_before_building(self):
+        with pytest.raises(ValueError, match="^x_max: missing$"):
+            from_json(Region, {"x_min": 0, "y_min": 0, "y_max": 1})
+        d = {"signal": {"wavelength": 0.5}, "region": {}, "faking": {},
+             "num_x0": 1, "num_x_per_x0": 1, "seed": 0}
+        with pytest.raises(ValueError, match="^signal.transmit_power: missing$"):
+            from_json(CalibrationMeta, d)
+
+    def test_array_elements_named_by_index(self):
+        rounds = [{"step": 0, "active_before": 3, "threshold": 1.5,
+                   "removed_ids": [2, "x"], "removed_approvals": [1, 1]}]
+        d = {"rounds": rounds, "final_genuine_set": [1], "final_filtered_set": [2]}
+        with pytest.raises(TypeError, match="^rounds.0.removed_ids.1: expected an integer"):
+            from_json(FilterResult, d)
+        d = {**d, "rounds": [], "final_genuine_set": [1, 2.5]}
+        with pytest.raises(TypeError, match="^final_genuine_set.1: expected an integer"):
+            from_json(FilterResult, d)
+
+    def test_field_checks_named_by_dotted_path(self):
+        d = {"signal": {"transmit_power": 1.0, "wavelength": 0.5},
+             "region": {"x_min": 0, "x_max": 1, "y_min": 0, "y_max": 1},
+             "faking": {"exclusion_radius": 0.2, "grid_step": 0},
+             "num_x0": 1, "num_x_per_x0": 1, "seed": 0}
+        with pytest.raises(FieldError, match="^faking.grid_step: must be positive, got 0$") as e:
+            from_json(CalibrationMeta, d)
+        assert (e.value.key, e.value.reason) == ("faking.grid_step", "must be positive, got 0")
 
     def test_dataclass_checks_still_run(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -283,7 +311,7 @@ class TestReader:
     def test_round_trips_through_the_decoder(self, tmp_path):
         path = tmp_path / "mode.json"
         write_json(path, NoiseMode("explicit", 0.5))
-        decoded = read_json(path, "noise mode", lambda d: from_json(NoiseMode, d))
+        decoded = read_json(path, "noise mode", NoiseMode)
         assert decoded == NoiseMode("explicit", 0.5)
 
     def test_bytes_that_are_not_text_are_invalid_json(self, tmp_path):

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import operator
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -13,24 +16,22 @@ from posverify.calibration import (
     CalibrationMeta,
     estimate_theta_table,
     load_theta_table,
-    table_to_dict,
 )
-from posverify.channel import SignalParams
-from posverify.codec import write_json
+from posverify.channel import Signal, SignalParams
+from posverify.cli import main
+from posverify.codec import from_json, to_json, write_json
 from posverify.experiment import (
     CSV_COLUMNS,
     NEGLIGIBLE_FACTOR,
+    CalibrationCounts,
     ExperimentConfig,
     NoiseMode,
     PRESETS,
     compute_noise_scale,
-    config_from_dict,
-    config_to_dict,
     deploy,
     emit_report,
     load_config,
     load_report,
-    report_to_dict,
     resolve_theta_table,
     run_experiment,
     step_rows,
@@ -50,13 +51,12 @@ def tiny_config(**overrides):
         n=10,
         n0=7,
         region=region,
-        signal=SignalParams(transmit_power=1.0, wavelength=0.125),
+        signal=Signal(transmit_power=1.0, wavelength=0.125),
         noise_mode=NoiseMode("significant"),
         faking=FakingSearchConfig(exclusion_radius=0.2 * diag, grid_step=diag / 10.0),
         trials=2,
         seed=3,
-        calibration_positions=4,
-        calibration_sets=3,
+        calibration=CalibrationCounts(positions=4, sets=3),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -107,14 +107,16 @@ class TestNoiseMode:
 
     def test_sigma_resolution(self):
         cfg = tiny_config()
-        scale = compute_noise_scale(cfg.signal, cfg.region)
+        scale = compute_noise_scale(cfg.resolved_signal(), cfg.region)
         assert cfg.noise_sigma() == pytest.approx(scale)
         neg = tiny_config(noise_mode=NoiseMode("negligible"))
         assert neg.noise_sigma() == pytest.approx(NEGLIGIBLE_FACTOR * scale)
         expl = tiny_config(noise_mode=NoiseMode("explicit", 0.25))
         assert expl.noise_sigma() == 0.25
         assert expl.resolved_signal().noise_sigma == 0.25
-        assert NoiseMode("negligible").sigma_for(cfg.signal, cfg.region) == neg.noise_sigma()
+        assert NoiseMode("negligible").sigma_for(cfg.resolved_signal(), cfg.region) == (
+            neg.noise_sigma()
+        )
 
 
 class TestConfigValidation:
@@ -152,7 +154,7 @@ class TestConfigValidation:
         ],
     )
     def test_non_finite_numbers_named(self, build, field, bad):
-        with pytest.raises(ValueError, match=f"^{field} must be finite, got {bad}$"):
+        with pytest.raises(ValueError, match=f"^{field}: must be finite, got {bad}$"):
             build(bad)
 
     def test_n1_property(self):
@@ -162,18 +164,18 @@ class TestConfigValidation:
 class TestConfigSerialization:
     def test_round_trip(self):
         cfg = tiny_config(filter_mode="quantile", theta_source="somewhere.json")
-        blob = json.dumps(config_to_dict(cfg))
-        assert config_from_dict(json.loads(blob)) == cfg
+        blob = json.dumps(to_json(cfg))
+        assert from_json(ExperimentConfig, json.loads(blob)) == cfg
 
     def test_presets_round_trip(self):
         for name, cfg in PRESETS.items():
-            assert config_from_dict(config_to_dict(cfg)) == cfg, name
+            assert from_json(ExperimentConfig, to_json(cfg)) == cfg, name
 
     @pytest.mark.parametrize(
         "key,field,default",
         [
-            ("calibration", "calibration_positions", 25),
-            ("calibration", "calibration_sets", 20),
+            ("calibration", "calibration.positions", 25),
+            ("calibration", "calibration.sets", 20),
             ("filter_mode", "filter_mode", "standard"),
             ("theta_source", "theta_source", "recalibrate"),
             ("seed", "seed", 0),
@@ -181,32 +183,32 @@ class TestConfigSerialization:
         ],
     )
     def test_absent_keys_take_defaults(self, key, field, default):
-        d = config_to_dict(tiny_config(filter_mode="quantile", theta_source="t.json"))
+        d = to_json(tiny_config(filter_mode="quantile", theta_source="t.json"))
         del d[key]
-        assert getattr(config_from_dict(d), field) == default
+        assert operator.attrgetter(field)(from_json(ExperimentConfig, d)) == default
 
     def test_unknown_key_rejected(self):
-        d = config_to_dict(tiny_config())
+        d = to_json(tiny_config())
         d["trails"] = 5
         with pytest.raises(ValueError, match="trails"):
-            config_from_dict(d)
+            from_json(ExperimentConfig, d)
 
     @pytest.mark.parametrize("key", ["calibration_positions", "calibration_sets"])
     def test_top_level_calibration_count_rejected(self, key):
         # the counts have one spelling, under calibration: a top-level count
         # is rejected beside the nested ones and without them
-        d = config_to_dict(tiny_config())
+        d = to_json(tiny_config())
         d[key] = 3
         with pytest.raises(ValueError, match=f"unknown ExperimentConfig keys \\['{key}'\\]"):
-            config_from_dict(d)
+            from_json(ExperimentConfig, d)
         del d["calibration"]
         with pytest.raises(ValueError, match=key):
-            config_from_dict(d)
+            from_json(ExperimentConfig, d)
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"
         cfg = tiny_config()
-        path.write_text(json.dumps(config_to_dict(cfg)))
+        path.write_text(json.dumps(to_json(cfg)))
         assert load_config(path) == cfg
 
     def test_load_config_missing_file(self, tmp_path):
@@ -221,7 +223,7 @@ class TestConfigSerialization:
 
     def test_load_config_missing_key(self, tmp_path):
         path = tmp_path / "cfg.json"
-        d = config_to_dict(tiny_config())
+        d = to_json(tiny_config())
         del d["region"]
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match="bad config"):
@@ -229,32 +231,43 @@ class TestConfigSerialization:
 
     def test_load_config_calibration_not_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({**config_to_dict(tiny_config()), "calibration": 5}))
+        path.write_text(json.dumps({**to_json(tiny_config()), "calibration": 5}))
         with pytest.raises(ValueError, match="bad config"):
             load_config(path)
 
 
-def _leaves(d, keys=()):
-    """The key path of every value of ``d`` that is not an object."""
+def _keys(d, keys=()):
+    """The key path of every value of ``d``, each object's before its own."""
     for k, v in d.items():
+        yield (*keys, k)
         if isinstance(v, dict):
-            yield from _leaves(v, (*keys, k))
-        else:
-            yield (*keys, k)
+            yield from _keys(v, (*keys, k))
 
 
-def assert_loads_or_names_its_key(load, what, d, keys, value, path, across=None):
-    """``load`` of the file ``d`` with its leaf at ``keys`` set to ``value``
-    either loads or fails with one line that names the key. A decoding
-    error names it by dotted path ("faking.grid_step: expected a number"),
-    a field's own check after the object that holds it ("faking: grid_step
-    must be positive"); a check across fields starts as ``across``."""
+# a fuzz value that deletes the key instead of setting it
+REMOVED = object()
+
+
+def value_id(value):
+    return "removed" if value is REMOVED else json.dumps(value)
+
+
+def assert_loads_or_names_its_key(load, what, d, keys, value, path, across=None, run=None):
+    """``load`` of the file ``d`` with the value at ``keys`` set to ``value``,
+    or removed, either loads or fails with one line that names the key by
+    its dotted path ("faking.grid_step: expected a number", "faking.grid_step:
+    must be positive", "region: missing"), or a key under it; a check across
+    fields starts as ``across``. When it fails, ``posverify run --config
+    run`` exits 1 with that line as its one error line."""
     d = json.loads(json.dumps(d))
     *holder, leaf = keys
     node = d
     for k in holder:
         node = node[k]
-    node[leaf] = value
+    if value is REMOVED:
+        del node[leaf]
+    else:
+        node[leaf] = value
     path.write_text(json.dumps(d))
     try:
         load(path)
@@ -262,15 +275,16 @@ def assert_loads_or_names_its_key(load, what, d, keys, value, path, across=None)
         prefix = f"bad {what} {path}: "
         why = str(exc).removeprefix(prefix)
         assert str(exc).startswith(prefix) and "\n" not in why
-        named = (
-            f"{'.'.join(keys)}: ",
-            f"{'.'.join(holder)}: {leaf} " if holder else f"{leaf} ",
-            across,
-        )
-        assert why.startswith(tuple(filter(None, named))), why
+        dotted = ".".join(keys)
+        assert why.startswith(tuple(filter(None, (f"{dotted}: ", f"{dotted}.", across)))), why
+        if run is not None:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["run", "--config", str(run)]) == 1
+            assert err.getvalue() == f"error: {exc}\n"
 
 
-NEG_CONFIG = config_to_dict(PRESETS["neg-noise-52"])
+NEG_CONFIG = to_json(PRESETS["neg-noise-52"])
 LEAF_VALUES = [None, True, "x", [1], {}, -1, 0, 1.5]
 NEED_N0 = "need 2 <= n0 <= n"
 # the golden files: a 2 x 2-cell theta table, and a 2-trial report
@@ -279,36 +293,43 @@ GOLDEN_REPORT = json.loads((GOLDEN / "report.json").read_text())
 
 
 class TestConfigDecoding:
-    @pytest.mark.parametrize("value", LEAF_VALUES, ids=json.dumps)
-    @pytest.mark.parametrize("keys", list(_leaves(NEG_CONFIG)), ids=".".join)
+    # every key, of a value or of an object, set to each value or removed
+    @pytest.mark.parametrize("value", [*LEAF_VALUES, REMOVED], ids=value_id)
+    @pytest.mark.parametrize("keys", list(_keys(NEG_CONFIG)), ids=".".join)
     def test_every_leaf_loads_or_names_its_key(self, tmp_path, keys, value):
         across = {"region": "region: degenerate region", "n": NEED_N0, "n0": NEED_N0}
         assert_loads_or_names_its_key(
             load_config, "config", NEG_CONFIG, keys, value, tmp_path / "cfg.json",
-            across.get(keys[0]),
+            across.get(keys[0]), run=tmp_path / "cfg.json",
         )
 
 
 class TestTableDecoding:
-    @pytest.mark.parametrize("value", [*LEAF_VALUES, math.nan, math.inf], ids=json.dumps)
-    @pytest.mark.parametrize("keys", list(_leaves(GOLDEN_TABLE)), ids=".".join)
+    @pytest.mark.parametrize(
+        "value", [*LEAF_VALUES, math.nan, math.inf, REMOVED], ids=value_id
+    )
+    @pytest.mark.parametrize("keys", list(_keys(GOLDEN_TABLE)), ids=".".join)
     def test_every_leaf_loads_or_names_its_key(self, tmp_path, keys, value):
-        # named by the file's keys (calibration_meta.region.x_max, not the
-        # field's name meta); NaN, infinite and negative deciles and samples
-        # fail to load
+        # named by the file's keys (calibration_meta.region.x_max); NaN,
+        # infinite and negative deciles and samples fail to load, and so
+        # does a table without one of the nine deciles. The run reads the
+        # table through a config whose theta_source names it
         across = {
             "samples": "1 samples for 6 calibration cells",
+            "quantiles": "quantiles: must be the deciles",
             "calibration_meta.region": "calibration_meta.region: degenerate region",
         }
+        table, config = tmp_path / "t.json", tmp_path / "cfg.json"
+        write_json(config, replace(PRESETS["neg-noise-52"], theta_source=str(table)))
         assert_loads_or_names_its_key(
-            load_theta_table, "theta table", GOLDEN_TABLE, keys, value, tmp_path / "t.json",
-            across.get(".".join(keys[:2])),
+            load_theta_table, "theta table", GOLDEN_TABLE, keys, value, table,
+            across.get(".".join(keys[:2]), across.get(keys[0])), run=config,
         )
 
 
 class TestReportDecoding:
-    @pytest.mark.parametrize("value", LEAF_VALUES, ids=json.dumps)
-    @pytest.mark.parametrize("keys", list(_leaves(GOLDEN_REPORT)), ids=".".join)
+    @pytest.mark.parametrize("value", [*LEAF_VALUES, REMOVED], ids=value_id)
+    @pytest.mark.parametrize("keys", list(_keys(GOLDEN_REPORT)), ids=".".join)
     def test_every_leaf_loads_or_names_its_key(self, tmp_path, keys, value):
         # named by the file's keys: config.region.x_max and theta.theta_star
         across = {
@@ -321,6 +342,35 @@ class TestReportDecoding:
             load_report, "report", GOLDEN_REPORT, keys, value, tmp_path / "r.json",
             across.get(".".join(keys[:2])),
         )
+
+    @pytest.mark.parametrize(
+        "keys,value,why",
+        [
+            (("per_trial", 1, "trial"), "x", "per_trial.1.trial: expected an integer, got 'x'"),
+            (
+                ("per_trial", 0, "result", "rounds", 2, "threshold"),
+                None,
+                "per_trial.0.result.rounds.2.threshold: expected a number, got None",
+            ),
+            (
+                ("per_trial", 1, "result", "final_genuine_set", 2),
+                1.5,
+                "per_trial.1.result.final_genuine_set.2: expected an integer, got 1.5",
+            ),
+            (("aggregate", "step_table", 1), [], "aggregate.step_table.1: expected a JSON object"),
+        ],
+    )
+    def test_array_element_named_by_index(self, tmp_path, keys, value, why):
+        d = json.loads(json.dumps(GOLDEN_REPORT))
+        *holder, last = keys
+        node = d
+        for k in holder:
+            node = node[k]
+        node[last] = value
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=f"^bad report {re.escape(str(path))}: {re.escape(why)}"):
+            load_report(path)
 
 
 class TestDeploy:
@@ -355,7 +405,7 @@ class TestThetaSource:
         cfg = tiny_config()
         table = estimate_theta_table(cfg.n, calibration_meta(cfg, 3, 2, seed=1))
         path = tmp_path / "table.json"
-        write_json(path, table_to_dict(table))
+        write_json(path, table)
         resolved = resolve_theta_table(replace(cfg, theta_source=str(path)))
         assert resolved == table
 
@@ -363,7 +413,7 @@ class TestThetaSource:
         cfg = tiny_config()
         table = estimate_theta_table(cfg.n, calibration_meta(cfg, 3, 2, seed=1))
         path = tmp_path / "table.json"
-        write_json(path, table_to_dict(table))
+        write_json(path, table)
         bigger = replace(cfg, n=12, theta_source=str(path))
         with pytest.raises(ValueError, match="n=10"):
             resolve_theta_table(bigger)
@@ -374,7 +424,7 @@ class TestThetaSource:
         neg = tiny_config(noise_mode=NoiseMode("negligible"))
         table = estimate_theta_table(neg.n, calibration_meta(neg, 3, 2, seed=1))
         path = tmp_path / "table.json"
-        write_json(path, table_to_dict(table))
+        write_json(path, table)
         sig = tiny_config(theta_source=str(path))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}.*signal.noise_sigma"):
             resolve_theta_table(sig)
@@ -383,7 +433,7 @@ class TestThetaSource:
         cfg = tiny_config()
         table = estimate_theta_table(cfg.n, calibration_meta(cfg, 3, 2, seed=1))
         path = tmp_path / "table.json"
-        write_json(path, table_to_dict(table))
+        write_json(path, table)
         # same diagonal, hence the same sigma: only the region differs
         moved = replace(cfg, region=Region(1.0, 21.0, 0.0, 20.0), theta_source=str(path))
         with pytest.raises(ValueError, match="region.x_min"):
@@ -394,7 +444,7 @@ class TestThetaSource:
         finer = replace(cfg.faking, grid_step=3.0)
         table = estimate_theta_table(cfg.n, calibration_meta(cfg, 2, 2, seed=9, faking=finer))
         path = tmp_path / "table.json"
-        write_json(path, table_to_dict(table))
+        write_json(path, table)
         assert resolve_theta_table(replace(cfg, theta_source=str(path))) == table
 
     def test_missing_file_source_named(self, tmp_path):
@@ -411,18 +461,18 @@ class TestThetaSource:
     @pytest.mark.parametrize(
         "edit,why",
         [
-            (dict(quantiles={}), "quantiles must be the deciles"),
+            (dict(quantiles={}), "quantiles: must be the deciles"),
             # one sample where a 2 x 2 calibration has four cells
             (dict(samples=[1.0], theta_star=999), "1 samples for 4 calibration cells"),
             # would otherwise load, and fail only in the first trial's filter
-            (dict(theta_star=-1), "theta_star must be nonnegative, got -1"),
+            (dict(theta_star=-1), "theta_star: must be nonnegative, got -1"),
             # would otherwise load, and filter with a 2.5-vote allowance
             (dict(theta_star=2.5), "theta_star: expected an integer, got 2.5"),
             (dict(theta_star=True), "theta_star: expected an integer, got True"),
             (dict(n=10.0), "n: expected an integer, got 10.0"),
             # would otherwise load
-            (dict(n=-3), "n must be at least 2, got -3"),
-            (dict(n=1), "n must be at least 2, got 1"),
+            (dict(n=-3), "n: must be at least 2, got -3"),
+            (dict(n=1), "n: must be at least 2, got 1"),
             # would otherwise load, and the quantile filter's step at the NaN
             # decile would remove nobody
             (
@@ -451,7 +501,7 @@ class TestThetaSource:
         cfg = tiny_config()
         table = estimate_theta_table(cfg.n, calibration_meta(cfg, 2, 2, seed=1))
         path = tmp_path / "table.json"
-        write_json(path, {**table_to_dict(table), **edit})
+        write_json(path, {**to_json(table), **edit})
         with pytest.raises(ValueError, match=f"bad theta table {re.escape(str(path))}: {why}"):
             resolve_theta_table(replace(cfg, theta_source=str(path)))
 
@@ -496,8 +546,8 @@ class TestRunExperiment:
         cfg = tiny_config()
         report = run_experiment(cfg)
         assert len(report.per_trial) == cfg.trials
-        assert report.schedule == (float(report.theta_star),)
-        assert 0.0 <= report.success_rate <= 1.0
+        assert report.theta.schedule == (float(report.theta.theta_star),)
+        assert 0.0 <= report.aggregate.success_rate <= 1.0
         for rec in report.per_trial:
             kept = sum(1 for i in rec.result.final_genuine_set if i < cfg.n0)
             assert rec.genuine_retained == kept
@@ -514,9 +564,9 @@ class TestRunExperiment:
     def test_quantile_mode_uses_schedule(self):
         cfg = tiny_config(filter_mode="quantile", trials=1)
         report = run_experiment(cfg)
-        assert len(report.schedule) == 11
-        assert report.schedule[0] == 0.0
-        assert report.schedule[-1] == float(report.theta_star)
+        assert len(report.theta.schedule) == 11
+        assert report.theta.schedule[0] == 0.0
+        assert report.theta.schedule[-1] == float(report.theta.theta_star)
 
     def test_csv_is_the_step_table(self, tmp_path):
         report = run_experiment(tiny_config(trials=1))
@@ -524,7 +574,7 @@ class TestRunExperiment:
         emit_report(report, "csv", path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_COLUMNS)
-        assert len(lines) == 1 + len(report.step_table)
+        assert len(lines) == 1 + len(report.aggregate.step_table)
         for line in lines[1:]:
             assert len(line.split(",")) == len(CSV_COLUMNS)
         # a fixpoint ends with a pass that deletes nobody
@@ -539,11 +589,11 @@ class TestRunExperiment:
         # three trials split unevenly over two workers, so order is tested
         cfg = tiny_config(trials=3)
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "a"))
-        first = json.dumps(report_to_dict(run_experiment(cfg, workers=1)), sort_keys=True)
-        again = json.dumps(report_to_dict(run_experiment(cfg, workers=1)), sort_keys=True)
+        first = json.dumps(to_json(run_experiment(cfg, workers=1)), sort_keys=True)
+        again = json.dumps(to_json(run_experiment(cfg, workers=1)), sort_keys=True)
         # fresh cache dir so the parallel run actually recalibrates
         monkeypatch.setenv("POSVERIFY_THETA_CACHE", str(tmp_path / "b"))
-        parallel = json.dumps(report_to_dict(run_experiment(cfg, workers=2)), sort_keys=True)
+        parallel = json.dumps(to_json(run_experiment(cfg, workers=2)), sort_keys=True)
         assert first == again == parallel
 
     def test_trial_streams_differ(self):

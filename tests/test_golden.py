@@ -17,14 +17,17 @@ from posverify.calibration import (
     load_theta_table,
     save_theta_table,
 )
-from posverify.channel import SignalParams
+from posverify.channel import Signal
+from posverify.codec import to_json
 from posverify.experiment import (
     PRESETS,
+    CalibrationCounts,
     ExperimentConfig,
     ExperimentReport,
     NoiseMode,
+    ReportAggregate,
+    ReportTheta,
     TrialRecord,
-    config_to_dict,
     emit_report,
     load_config,
     load_report,
@@ -41,15 +44,14 @@ def golden_config() -> ExperimentConfig:
         n=6,
         n0=4,
         region=Region(0.0, 40.0, 0.0, 30.0),
-        signal=SignalParams(transmit_power=2.0, wavelength=0.125, path_loss_exponent=2.5),
+        signal=Signal(transmit_power=2.0, wavelength=0.125, path_loss_exponent=2.5),
         noise_mode=NoiseMode("explicit", 0.0125),
         faking=FakingSearchConfig(exclusion_radius=10.0, grid_step=5.0 / 3.0, refine_iters=12),
         filter_mode="quantile",
         theta_source="tables/theta_n6.json",
         seed=7,
         trials=2,
-        calibration_positions=5,
-        calibration_sets=4,
+        calibration=CalibrationCounts(positions=5, sets=4),
     )
 
 
@@ -62,7 +64,9 @@ def golden_table() -> ThetaTable:
         theta_star=2,
         quantiles={t / 10: pooled[(t * 6 + 9) // 10 - 1] for t in range(1, 10)},
         samples=samples,
-        meta=CalibrationMeta(cfg.resolved_signal(), cfg.region, cfg.faking, 2, 3, cfg.seed),
+        calibration_meta=CalibrationMeta(
+            cfg.resolved_signal(), cfg.region, cfg.faking, 2, 3, cfg.seed
+        ),
     )
 
 
@@ -89,21 +93,22 @@ def golden_report() -> ExperimentReport:
     cfg = golden_config()
     return ExperimentReport(
         config=cfg,
-        theta_star=2,
-        schedule=golden_table().schedule(),
         per_trial=(
             TrialRecord(0, 12345678901234567890, kept, 2, 4, True),
             TrialRecord(1, 987654321, lost, 1, 2, False),
         ),
-        success_rate=0.5,
-        mean_genuine_retained=3.0,
-        mean_rounds=3.5,
-        step_table=step_rows(kept, cfg.n0),
+        theta=ReportTheta(theta_star=2, schedule=golden_table().schedule()),
+        aggregate=ReportAggregate(
+            success_rate=0.5,
+            mean_genuine_retained=3.0,
+            mean_rounds=3.5,
+            step_table=step_rows(kept, cfg.n0),
+        ),
     )
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
+    return json.dumps(to_json(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def test_report_json_bytes(tmp_path):

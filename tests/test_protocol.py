@@ -78,7 +78,7 @@ def dummy_table(theta_star, quantiles=None):
         seed=0,
     )
     qs = quantiles or {k / 10: float(theta_star) for k in range(1, 10)}
-    return ThetaTable(n=5, theta_star=theta_star, quantiles=qs, samples=(1.0,), meta=meta)
+    return ThetaTable(n=5, theta_star=theta_star, quantiles=qs, samples=(1.0,), calibration_meta=meta)
 
 
 class TestNode:
