@@ -117,9 +117,10 @@ class FakingOutcome:
 # When a claim's ideal power lies more than _BAND_BELOW noise sigmas under
 # the receiver's true ideal power, both ends of its 3-sigma window sit at
 # z <= -45; more than _BAND_ABOVE sigmas over it, both sit at z >= 14.8.
-# Either way the deception probability is exactly 0.0, with 6.5 sigmas to
-# spare. _BAND_SLACK widens the band in distance to cover rounding, which
-# dominates when sigma is far below the float resolution of the powers.
+# Either way the deception probability is exactly +0.0, with 6.5 sigmas to
+# spare, so a scorer may skip such a pair or score it. _BAND_SLACK widens
+# the band in distance to cover rounding, which dominates when sigma is far
+# below the float resolution of the powers.
 _BAND_BELOW = 48.0
 _BAND_ABOVE = 17.8
 _BAND_SLACK = 1e-9
@@ -173,12 +174,12 @@ _SCREEN_BLOCK = 16384
 # A band is thin when at most this share of a candidate batch's (receiver,
 # point) pairs lie in it, or of the (receiver, start) pairs a walk can reach
 # at its first step (_reachable). _candidate_values then scores every point
-# from its list of in-band pairs, as the level bound would keep about the
-# points that have any, and the search walks with _refine_live; wider bands
-# are bound-pruned and walk with _refine. Measured on preset deploys and
-# calibration chunks (2-CPU x86 host): in-band shares 0.011-0.023 in
-# negligible noise and 0.42-0.64 in significant noise; reachable shares
-# 0.08-0.11 and 0.68-0.81. The cut sits between both pairs.
+# from its list of the screen's kept pairs, as the level bound would keep
+# about the points that have any, and the search walks with _refine_live;
+# wider bands are bound-pruned and walk with _refine. Measured on preset
+# deploys and calibration chunks (2-CPU x86 host): in-band shares
+# 0.011-0.023 in negligible noise and 0.42-0.64 in significant noise;
+# reachable shares 0.08-0.11 and 0.68-0.81. The cut sits between both pairs.
 _THIN_SHARE = 0.3
 
 
@@ -192,9 +193,7 @@ class _Receivers:
     ``r``, ``near2`` and ``far2`` are (receivers, fakers), each faker's
     column from its own set: the true distances, and the squared claimed
     distances outside of which a claim deceives the receiver with
-    probability exactly 0.0. ``level_near2`` and ``level_far2`` are
-    (levels, receivers, fakers): the squared claimed distances outside of
-    which a claim lies at least ``_LEVELS[k]`` sigmas off in power.
+    probability exactly 0.0.
     """
 
     gp: np.ndarray
@@ -203,8 +202,6 @@ class _Receivers:
     r: np.ndarray
     near2: np.ndarray
     far2: np.ndarray
-    level_near2: np.ndarray
-    level_far2: np.ndarray
 
 
 def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Receivers:
@@ -227,16 +224,15 @@ def _receivers(params: SignalParams, true_positions, genuine_positions) -> _Rece
     r = np.hypot(coords[0] - x0[:, 0], coords[1] - x0[:, 1])
     if np.any(r <= 0):
         raise ValueError("a genuine node coincides with the faker's true position")
+    return _Receivers(gp, x0, coords, r, *_squared_edges(params, r, _BAND_ABOVE, _BAND_BELOW))
 
-    def squared_edges(above, below):
-        # widened by _BAND_SLACK, so rounding never moves a pair inward
-        near, far = _distance_window(params, r, above, below)
-        return np.square(near * (1.0 - _BAND_SLACK)), np.square(far * (1.0 + _BAND_SLACK))
 
-    levels = _LEVELS[:, None, None]
-    return _Receivers(
-        gp, x0, coords, r, *squared_edges(_BAND_ABOVE, _BAND_BELOW), *squared_edges(levels, levels)
-    )
+def _squared_edges(params: SignalParams, r, above, below) -> tuple[np.ndarray, np.ndarray]:
+    """Squared (near, far) claimed distances of ``_distance_window`` from
+    true distances ``r``, widened by ``_BAND_SLACK``, so rounding never
+    moves a pair inward."""
+    near, far = _distance_window(params, r, above, below)
+    return np.square(near * (1.0 - _BAND_SLACK)), np.square(far * (1.0 + _BAND_SLACK))
 
 
 class _Scratch:
@@ -317,28 +313,34 @@ def _candidate_values(
     """Faker ``f``'s candidate values, for ranking its ``REFINE_STARTS``
     best: the search's one candidate scorer.
 
-    The batch is first screened in float32 in ``frame`` (``_screen``),
-    which keeps a superset of its in-band pairs. A batch that keeps at most
-    ``_THIN_SHARE`` of its pairs sums every point from the kept pairs that
-    the exact test finds in band (``_thin_scores``). A wider batch gives
-    only the points that can rank among the ``REFINE_STARTS`` best their
-    exact value, the others -inf, so ``_ranked`` picks the same points as
-    over every exact value. Points reach ``_theta_batch`` in order of the
-    screen's upper bound (``_screen_bounds``): first the ``REFINE_STARTS``
-    highest, whose lowest exact value is the floor, then every other point
-    whose bound reaches the floor, ties included. The rest cannot beat the
-    floor. Any superset and any valid bound give the same exact values and
-    the same top points.
+    The batch is screened in float32 in ``frame`` (``_screen``), which
+    keeps a superset of its in-band pairs, and every point is scored from
+    the kept pairs alone: a pair outside the band scores exactly +0.0, so
+    any superset gives the same exact values. A batch that keeps at most
+    ``_THIN_SHARE`` of its pairs sums every point from its list of kept
+    pairs (``_pair_sums``). A wider batch gives only the points that can
+    rank among the ``REFINE_STARTS`` best their exact value (``_scores``),
+    the others -inf, so ``_ranked`` picks the same points as over every
+    exact value. Points are scored in order of the screen's upper bound
+    (``_screen_bounds``): first the ``REFINE_STARTS`` highest, whose lowest
+    exact value is the floor, then every other point whose bound reaches
+    the floor, ties included. The rest cannot beat the floor.
     """
     inside, d2, levels = _screen(rx, pts, f, frame, scratch)
     if np.count_nonzero(inside) <= _THIN_SHARE * inside.size:
-        return _thin_scores(params, rx, pts, f, inside, scratch)
+        # flatnonzero and divmod outpace a 2-D nonzero several times over
+        rcv, cols = np.divmod(np.flatnonzero(inside), inside.shape[1])
+        # each pair's entry in the (receivers, fakers) tables of rx
+        at = rcv * rx.r.shape[1] + f
+        dx = rx.coords[0].take(at) - pts[cols, 0]
+        dy = rx.coords[1].take(at) - pts[cols, 1]
+        return _pair_sums(params, rx, pts, f, rx.r.take(at), dx, dy, cols, scratch)
     bound = _screen_bounds(inside, d2, levels, scratch)[1]
     values = np.full(len(pts), -np.inf)
     first = np.sort(np.argsort(bound, kind="stable")[-REFINE_STARTS:])
-    values[first] = _theta_batch(params, rx, pts[first], f, scratch)
+    values[first] = _scores(params, rx, pts[first], f, inside[:, first], scratch)
     rest = np.setdiff1d(np.flatnonzero(bound >= values[first].min()), first, assume_unique=True)
-    values[rest] = _theta_batch(params, rx, pts[rest], f, scratch)
+    values[rest] = _scores(params, rx, pts[rest], f, inside[:, rest], scratch)
     return values
 
 
@@ -395,7 +397,7 @@ class _Frame:
     edges: np.ndarray
 
 
-def _frame(rx: _Receivers, lo, hi) -> _Frame:
+def _frame(params: SignalParams, rx: _Receivers, lo, hi) -> _Frame:
     """The screen's frame for the box that holds ``rx``'s receivers and the
     corners ``lo`` and ``hi``."""
     lo = np.minimum(rx.coords.min(axis=(1, 2)), lo)
@@ -409,8 +411,11 @@ def _frame(rx: _Receivers, lo, hi) -> _Frame:
     lhs[..., :2] *= -2.0
     lhs[..., 2], lhs[..., 3] = np.square(g).sum(axis=0).T, 1.0
     # near and far, each the band's edge and then the levels'
-    near = np.concatenate([rx.near2[None], rx.level_near2])
-    edges = np.stack([near, np.concatenate([rx.far2[None], rx.level_far2])])
+    levels = _LEVELS[:, None, None]
+    level_near, level_far = _squared_edges(params, rx.r, levels, levels)
+    edges = np.stack(
+        [np.concatenate([rx.near2[None], level_near]), np.concatenate([rx.far2[None], level_far])]
+    )
     margin = np.array([-_SCREEN_MARGIN, _SCREEN_MARGIN])[:, None, None, None]
     edges = np.minimum(edges * inv * inv + margin, 16.0).astype(np.float32)
     return _Frame(centre, inv, lhs, edges)
@@ -472,9 +477,9 @@ def _scores(
     inside: np.ndarray,
     scratch: _Scratch,
 ) -> np.ndarray:
-    """Exact scores of ``pts`` from the in-band mask ``inside`` (receivers,
-    points) of their (receiver, point) pairs, which must not be a view of
-    ``scratch``'s "d2", "work" or "pairs"."""
+    """Exact scores of ``pts`` from ``inside`` (receivers, points), a mask
+    of their (receiver, point) pairs that holds every in-band one; it must
+    not be a view of ``scratch``'s "d2", "work" or "pairs"."""
     # "d2" ends as the score matrix, which outsizes the pair arrays before it
     out = scratch.get("d2", inside.shape, order="F")
     at = np.flatnonzero(inside)
@@ -520,11 +525,12 @@ def _pair_sums(
     distance ``true[i]`` and at offset (``dx[i]``, ``dy[i]``) from the
     claim; ``dx`` and ``dy`` are spent.
 
-    A point's pairs are added in list order. For a point with at most two,
-    that is ``_scores``' sum: every other entry of its dense column is
-    +0.0, which leaves any sum unchanged, so both give 0.0, a, or fl(a + b)
-    in either order. With three or more the order can move the last bit,
-    so those points are scored densely, by ``_theta_batch``.
+    The list must hold every in-band pair; a pair outside the band scores
+    exactly +0.0. A point's pairs are added in list order. For a point with
+    at most two, that is ``_scores``' sum: every other entry of its dense
+    column is +0.0, which leaves any sum unchanged, so both give 0.0, a, or
+    fl(a + b) in either order. With three or more the order can move the
+    last bit, so those points are scored densely, by ``_theta_batch``.
     """
     claimed = np.hypot(dx, dy, out=dx)
     probs = _deception_prob_arrays(params, true, claimed, out=dy)
@@ -535,30 +541,6 @@ def _pair_sums(
         part = owner if np.ndim(owner) == 0 else owner[many]
         sums[many] = _theta_batch(params, rx, pts[many], part, scratch)
     return sums
-
-
-def _thin_scores(
-    params: SignalParams,
-    rx: _Receivers,
-    pts: np.ndarray,
-    f: int,
-    inside: np.ndarray,
-    scratch: _Scratch,
-) -> np.ndarray:
-    """Faker ``f``'s exact scores of ``pts`` from the pairs of ``inside``,
-    any superset of the in-band pairs: each listed pair takes
-    ``_in_band``'s own ``d2`` and test, and the pairs in band are summed
-    by ``_pair_sums``."""
-    # flatnonzero and divmod outpace a 2-D nonzero several times over
-    rcv, cols = np.divmod(np.flatnonzero(inside), inside.shape[1])
-    # each pair's entry in the (receivers, fakers) tables of rx
-    at = rcv * rx.r.shape[1] + f
-    dx = rx.coords[0].take(at) - pts[cols, 0]
-    dy = rx.coords[1].take(at) - pts[cols, 1]
-    d2 = dx * dx + dy * dy
-    band = (d2 >= rx.near2.take(at)) & (d2 <= rx.far2.take(at))
-    true, dx, dy, cols = rx.r.take(at[band]), dx[band], dy[band], cols[band]
-    return _pair_sums(params, rx, pts, f, true, dx, dy, cols, scratch)
 
 
 def theta_for_fake(
@@ -879,7 +861,7 @@ def optimize_fake_positions(
     # batches hold no more points
     most = max(np.count_nonzero(on_grid) + len(extra) for on_grid, extra in geometry)
     scratch = _Scratch(rx.r.shape[0] * most)
-    frame = _frame(rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
+    frame = _frame(params, rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
     starts = []
     for f, (on_grid, extra) in enumerate(geometry):
         cands = np.concatenate([grid[on_grid], extra])
@@ -905,7 +887,7 @@ def optimize_fake_positions(
         FakingOutcome(
             fake_position=(float(pt[0]), float(pt[1])),
             expected_deceived=float(row.sum()),
-            per_node_probs=tuple(float(q) for q in row),
+            per_node_probs=tuple(row.tolist()),
         )
         for pt, row in zip(fakes, probs)
     ]

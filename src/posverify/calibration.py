@@ -61,6 +61,10 @@ class CalibrationMeta:
                 raise FieldError(name, f"must be positive, got {getattr(self, name)}")
         if self.seed < 0:
             raise FieldError("seed", f"must be nonnegative, got {self.seed}")
+        # calibration needs a noisy channel
+        sigma = self.signal.noise_sigma
+        if not sigma > 0:
+            raise FieldError("signal.noise_sigma", f"must be positive, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -154,8 +158,6 @@ def estimate_theta_table(n: int, meta: CalibrationMeta, workers: int = 1) -> The
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if meta.signal.noise_sigma <= 0:
-        raise ValueError("calibration requires positive noise_sigma")
 
     n_genuine = math.ceil(n / 2)
     cells = meta.num_x0 * meta.num_x_per_x0

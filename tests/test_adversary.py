@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -35,8 +36,8 @@ from posverify.adversary import (
     _Scratch,
     _screen,
     _screen_bounds,
+    _squared_edges,
     _theta_batch,
-    _thin_scores,
     _top,
     optimize_fake_position,
     optimize_fake_positions,
@@ -97,9 +98,9 @@ def make_params(sigma):
     return SignalParams(transmit_power=1.0, wavelength=0.125, noise_sigma=sigma)
 
 
-def region_frame(rx, region=REGION):
+def region_frame(params, rx, region=REGION):
     """The screen's frame for a search of ``region``, as the search makes it."""
-    return _frame(rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
+    return _frame(params, rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
 
 
 def candidate_values(params, rx, pts, f, k=REFINE_STARTS, scratch=None):
@@ -108,7 +109,7 @@ def candidate_values(params, rx, pts, f, k=REFINE_STARTS, scratch=None):
     scratch = _Scratch(rx.r.shape[0] * len(pts)) if scratch is None else scratch
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(adversary, "REFINE_STARTS", k)
-        return _candidate_values(params, rx, pts, f, scratch, region_frame(rx))
+        return _candidate_values(params, rx, pts, f, scratch, region_frame(params, rx))
 
 
 def walk_cells(rx, starts):
@@ -474,7 +475,7 @@ class TestThinScores:
     def test_bit_identical_to_a_dense_sum(self, monkeypatch):
         # the pair-list sums against every receiver's probability summed in a
         # column, as _scores sums; each drawn batch must take the thin path
-        thin = recorded_calls(monkeypatch, "_thin_scores")
+        thin = recorded_calls(monkeypatch, "_pair_sums")
 
         @given(thin_instances())
         def check(instance):
@@ -486,7 +487,7 @@ class TestThinScores:
                 assert _theta_batch(params, rx, pts, f).tobytes() == dense[f].tobytes()
                 got = candidate_values(params, rx, pts, f)
                 assert got.tobytes() == dense[f].tobytes()
-            assert thin == ["_thin_scores"] * len(x0s)
+            assert thin == ["_pair_sums"] * len(x0s)
 
         check()
 
@@ -498,6 +499,7 @@ class TestThinScores:
         # live walk. The 40 receivers away from the corner keep the
         # reachable share thin. Outcome as with dense column sums
         calls = recorded_calls(monkeypatch, "_pair_sums", "_refine_live", "_theta_batch")
+        stacks = recorded_stacks(monkeypatch, "_in_band")
         params = noise_params(2.0, "negligible")
         line = np.array([(2.0, 18.0), (6.0, 14.0), (10.0, 10.0)])
         gp = np.concatenate([line, np.random.default_rng(3).uniform(30.0, 100.0, (40, 2))])
@@ -507,6 +509,9 @@ class TestThinScores:
         assert "_theta_batch" in calls[:walk] and "_theta_batch" in calls[walk:]
         # every _theta_batch call is the fallback of the _pair_sums before it
         assert all(calls[i - 1] == "_pair_sums" for i, c in enumerate(calls) if c == "_theta_batch")
+        # candidate scoring reaches the exact test only through that fallback
+        scoring = [names for names in stacks if "_candidate_values" in names]
+        assert scoring and all("_pair_sums" in names for names in scoring)
         assert out.fake_position == (0.0, 0.0)
         assert out.expected_deceived.hex() == "0x1.7ef699688ec14p+1"
         assert [p.hex() for p in out.per_node_probs[:3]] == [
@@ -564,14 +569,15 @@ def edge_instances(draw):
     return params, region, x0s, gp, rng
 
 
-def edge_claims(rx, region, rng):
+def edge_claims(params, rx, region, rng):
     """Claims around every squared edge of every (receiver, faker), the
     band's and each level's: on it, one ulp either side, and a half, one
     and two screen margins either side in the region's frame. Returns the
     frame, and the claims in the region with the receiver and faker each
     was placed for."""
-    frame = _frame(rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
-    edges = np.stack([rx.near2, rx.far2, *rx.level_near2, *rx.level_far2])
+    frame = region_frame(params, rx, region)
+    levels = adversary._LEVELS[:, None, None]
+    edges = np.concatenate([[rx.near2, rx.far2], *_squared_edges(params, rx.r, levels, levels)])
     steps = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]) * adversary._SCREEN_MARGIN / frame.inv**2
     d2 = np.concatenate(
         [
@@ -605,7 +611,7 @@ class TestBounds:
     def test_pair_bound_holds_at_every_level_edge(self, instance):
         params, region, x0s, gp, rng = instance
         rx = _receivers(params, x0s, gp)
-        frame, pts, _, bands = edge_claims(rx, region, rng)
+        frame, pts, _, bands = edge_claims(params, rx, region, rng)
         # each claim a point of its own faker; every pair of it is bounded
         scratch = _Scratch(rx.r.shape[0] * len(pts))
         for f in range(len(x0s)):
@@ -617,7 +623,7 @@ class TestBounds:
     def test_point_bound_holds_for_claims_on_level_edges(self, instance):
         params, region, x0s, gp, rng = instance
         rx = _receivers(params, x0s, gp)
-        frame, pts, _, bands = edge_claims(rx, region, rng)
+        frame, pts, _, bands = edge_claims(params, rx, region, rng)
         scratch = _Scratch(rx.r.shape[0] * len(pts))
         for f in range(len(x0s)):
             bound = _screen_bounds(*_screen(rx, pts, f, frame, scratch), scratch)[1]
@@ -630,7 +636,7 @@ class TestBounds:
         rx = _receivers(params, (80.0, 80.0), [(20.0, 60.0)])
         pts = np.array([(100.0, 0.0), (50.0, 50.0)])
         scratch = _Scratch(rx.r.shape[0] * len(pts))
-        inside, d2, levels = _screen(rx, pts, 0, _frame(rx, (0.0, 0.0), (100.0, 100.0)), scratch)
+        inside, d2, levels = _screen(rx, pts, 0, region_frame(params, rx), scratch)
         assert not inside.any()
         bound = _screen_bounds(inside, d2, levels, scratch)[1]
         assert np.all(bound > 0.0) and np.all(bound < 1e-6)
@@ -643,9 +649,9 @@ class TestScreen:
         # the frame of the batch's own box, for each faker
         params, region, x0s, gp, rng = instance
         rx = _receivers(params, x0s, gp)
-        frame, pts, _, bands = edge_claims(rx, region, rng)
+        frame, pts, _, bands = edge_claims(params, rx, region, rng)
         scratch = _Scratch(rx.r.shape[0] * len(pts))
-        box = _frame(rx, pts.min(axis=0), pts.max(axis=0)) if len(pts) else frame
+        box = _frame(params, rx, pts.min(axis=0), pts.max(axis=0)) if len(pts) else frame
         found = False
         for f, within in itertools.product(range(len(x0s)), [frame, box]):
             exact = _in_band(rx, pts, f, _Scratch(scratch.cells)).copy()
@@ -680,6 +686,31 @@ class TestScreen:
             h.update(np.array(o.per_node_probs).tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-q-55"])
+    def test_extra_out_of_band_pairs_change_no_value(self, name, monkeypatch):
+        # every candidate is scored from the screen's kept pairs alone, which
+        # may hold any out-of-band pairs: switching more on changes no byte,
+        # in thin batches (pair lists) and in wide ones (_scores' columns)
+        cfg = PRESETS[name]
+        params = cfg.resolved_signal()
+        nodes = deploy(cfg, 0)
+        genuine = np.array([n.true_position for n in nodes[: cfg.n0]])
+        batches = []
+        for node in nodes[cfg.n0 :: 5]:
+            pts = search_candidates(params, node.true_position, genuine, cfg.faking)
+            rx = _receivers(params, node.true_position, genuine)
+            batches.append((rx, pts, candidate_values(params, rx, pts, 0)))
+        calls = recorded_calls(monkeypatch, "_pair_sums", "_scores")
+        added = screen_with_extra_pairs(monkeypatch, np.random.default_rng(5))
+        for rx, pts, want in batches:
+            assert candidate_values(params, rx, pts, 0).tobytes() == want.tobytes()
+        assert len(added) == len(batches) and all(added)
+        # thin batches list their pairs, wide ones score columns
+        if name.startswith("neg-"):
+            assert calls.count("_pair_sums") == len(batches)
+        else:
+            assert set(calls) == {"_scores"}
+
     def test_significant_calibration_chunk_keeps_its_values(self):
         # 25 cells of an n=200 table in significant noise, 100 receivers each
         meta = PRESETS["sig-noise-62"].calibration_meta()
@@ -689,10 +720,22 @@ class TestScreen:
         )
 
 
+def preset_receivers(name, m):
+    """A preset's seed-0 deploy at path-loss exponent ``m``: its signal, and
+    its genuine receivers as each faker sees them."""
+    cfg = PRESETS[name]
+    cfg = replace(cfg, signal=replace(cfg.signal, path_loss_exponent=m))
+    params = cfg.resolved_signal()
+    nodes = deploy(cfg, 0)
+    genuine = [nd.true_position for nd in nodes[: cfg.n0]]
+    return params, _receivers(params, [nd.true_position for nd in nodes[cfg.n0 :]], genuine)
+
+
 class TestZeroBand:
     """A claim outside a receiver's widened band (``near2``, ``far2``)
-    deceives it with probability exactly 0.0; the search skips such pairs.
-    That rests on where scipy's normal tails reach exactly 0.0 and 1.0."""
+    deceives it with probability exactly +0.0, so the search may skip such
+    pairs or list them. That rests on where scipy's normal tails reach
+    exactly 0.0 and 1.0."""
 
     def test_scipy_tails_reach_zero_and_one(self):
         assert ndtr(-38.5) == 0.0 and ndtr(8.3) == 1.0
@@ -703,17 +746,34 @@ class TestZeroBand:
     @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-62"])
     @pytest.mark.parametrize("m", [2.0, 3.0, 4.0])
     def test_claims_on_the_widened_edges_score_zero(self, name, m):
-        cfg = PRESETS[name]
-        cfg = replace(cfg, signal=replace(cfg.signal, path_loss_exponent=m))
-        params = cfg.resolved_signal()
-        nodes = deploy(cfg, 0)
-        genuine = [nd.true_position for nd in nodes[: cfg.n0]]
-        rx = _receivers(params, [nd.true_position for nd in nodes[cfg.n0 :]], genuine)
+        params, rx = preset_receivers(name, m)
         edges = np.stack([rx.near2, rx.far2])
         finite = np.isfinite(edges)
-        assert finite.sum() > len(genuine)
+        assert finite.sum() > rx.r.shape[0]
         r = np.broadcast_to(rx.r, edges.shape)[finite]
         assert np.count_nonzero(_deception_prob_arrays(params, r, np.sqrt(edges[finite]))) == 0
+
+    @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-62"])
+    @pytest.mark.parametrize("m", [2.0, 3.0, 4.0])
+    def test_claims_beyond_the_widened_edges_score_zero(self, name, m):
+        # the screen keeps pairs out to about _SCREEN_MARGIN beyond the band's
+        # edges in the region's frame. Those claims, and claims at half the
+        # near edge and twice the far one, score exactly +0.0, so a point
+        # scored from any superset of its in-band pairs sums as from them
+        params, rx = preset_receivers(name, m)
+        frame = region_frame(params, rx, PRESETS[name].region)
+        beyond = np.array([0.25, 0.5, 1.0, 2.0])[:, None, None] * adversary._SCREEN_MARGIN
+        beyond /= frame.inv**2
+        near = np.concatenate([rx.near2 - beyond, rx.near2[None] / 4.0])
+        far = np.concatenate([rx.far2 + beyond, rx.far2[None] * 4.0])
+        d2 = np.concatenate([near, far])
+        finite = np.isfinite(d2)
+        # claims off both edges, inward ones at positive distances
+        assert (near > 0.0).sum() > rx.r.shape[0] and np.isfinite(far).sum() > rx.r.shape[0]
+        r = np.broadcast_to(rx.r, d2.shape)[finite]
+        # a claim the near side takes below zero sits on the receiver
+        probs = _deception_prob_arrays(params, r, np.sqrt(np.maximum(d2[finite], 0.0)))
+        assert probs.tobytes() == np.zeros_like(probs).tobytes()
 
 
 def exhaustive_top(params, rx, pts, owner, k=REFINE_STARTS):
@@ -785,6 +845,51 @@ def recorded_calls(monkeypatch, *names):
             lambda *a, _name=name, _inner=inner, **kw: calls.append(_name) or _inner(*a, **kw),
         )
     return calls
+
+
+def recorded_stacks(monkeypatch, name):
+    """For each call to this ``adversary`` function from here on, the names
+    of the functions on its call stack."""
+    stacks = []
+    inner = getattr(adversary, name)
+
+    def recorded(*args, **kwargs):
+        frame, names = sys._getframe(), set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        stacks.append(names)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, name, recorded)
+    return stacks
+
+
+def screen_with_extra_pairs(monkeypatch, rng):
+    """Patches ``_screen`` to switch on about half of the out-of-band pairs
+    its mask leaves off, no more than keep a thin batch thin, and
+    ``_screen_bounds`` to bound from the unpatched mask, so the same points
+    are scored. Returns the count of pairs switched on, per batch."""
+    screen, bounds = adversary._screen, adversary._screen_bounds
+    added, kept = [], []
+
+    def extended(rx, pts, f, frame, scratch):
+        inside, d2, levels = screen(rx, pts, f, frame, scratch)
+        kept[:] = [inside.copy()]
+        out = ~inside & ~_in_band(rx, pts, f, _Scratch(inside.size))
+        off = np.flatnonzero(out)[rng.random(np.count_nonzero(out)) < 0.5]
+        count = np.count_nonzero(inside)
+        if count <= _THIN_SHARE * inside.size:
+            off = off[: int(_THIN_SHARE * inside.size) - count]
+        inside.flat[off] = True
+        added.append(len(off))
+        return inside, d2, levels
+
+    monkeypatch.setattr(adversary, "_screen", extended)
+    monkeypatch.setattr(
+        adversary, "_screen_bounds", lambda inside, *rest: bounds(kept[0], *rest)
+    )
+    return added
 
 
 class TestPrunedTop:
@@ -972,7 +1077,7 @@ class TestKernelMemory:
         pts = search_candidates(self.params, self.x0s[0], self.gp, cfg)
         assert 2000 < len(pts) < 3000
         rx = _receivers(self.params, self.x0s[:1], self.gp)
-        scratch, frame = _Scratch(len(self.gp) * len(pts)), region_frame(rx)
+        scratch, frame = _Scratch(len(self.gp) * len(pts)), region_frame(self.params, rx)
         first = _candidate_values(self.params, rx, pts, 0, scratch, frame)
         second = peak_bytes(lambda: _candidate_values(self.params, rx, pts, 0, scratch, frame))
         assert second < len(self.gp) * len(pts) * 8
@@ -1294,6 +1399,7 @@ class TestRefineWalks:
         # significant noise about 50% and 72%
         screens = ("_screen", "_screen_bounds")
         calls = recorded_calls(monkeypatch, *screens, "_refine", "_refine_live")
+        stacks = recorded_stacks(monkeypatch, "_in_band")
         # each _in_band batch of the dense walk: its points, and the most its
         # scratch is sized for
         batches = []
@@ -1319,6 +1425,9 @@ class TestRefineWalks:
         assert calls[:first].count("_screen") == PRESETS[name].n - PRESETS[name].n0
         assert "_screen" not in calls[first:]
         assert ("_screen_bounds" in calls) == (walk == "_refine")
+        # candidate scoring reaches the exact test only through _pair_sums'
+        # fallback, for points with more than two listed pairs
+        assert all("_pair_sums" in names for names in stacks if "_candidate_values" in names)
 
 
 @st.composite

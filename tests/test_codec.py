@@ -36,11 +36,12 @@ def regions(draw):
     return Region(x, x + draw(st.floats(1e-3, 1e3)), y, y + draw(st.floats(1e-3, 1e3)))
 
 
+# a table's calibration signal, which is noisy
 signals = st.builds(
     SignalParams,
     transmit_power=positive,
     wavelength=positive,
-    noise_sigma=st.floats(0.0, 1e3),
+    noise_sigma=st.floats(0.0, 1e3, exclude_min=True),
     path_loss_exponent=st.floats(2.0, 4.0),
 )
 fakings = st.builds(FakingSearchConfig, positive, positive, st.integers(0, 50))
@@ -149,7 +150,7 @@ class TestDecoding:
         region = Region(0.0, 1.0, 0.0, 1.0)
         got = from_json(
             CalibrationMeta,
-            {"signal": SignalParams(1.0, 0.5), "region": region,
+            {"signal": SignalParams(1.0, 0.5, 1e-9), "region": region,
              "faking": {"exclusion_radius": 0.2, "grid_step": 0.1},
              "num_x0": 1, "num_x_per_x0": 1, "seed": 0},
         )

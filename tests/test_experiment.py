@@ -326,6 +326,23 @@ class TestTableDecoding:
             across.get(".".join(keys[:2]), across.get(keys[0])), run=config,
         )
 
+    @pytest.mark.parametrize("value", [0.0, REMOVED], ids=value_id)
+    def test_calibration_signal_needs_positive_noise(self, tmp_path, value):
+        # estimate_theta_table calibrates on a noisy channel only, so no table
+        # it writes lacks a positive sigma; a noise-free one takes 0.0
+        table = json.loads(json.dumps(GOLDEN_TABLE))
+        signal = table["calibration_meta"]["signal"]
+        if value is REMOVED:
+            del signal["noise_sigma"]
+        else:
+            signal["noise_sigma"] = value
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(table))
+        with pytest.raises(ValueError) as exc:
+            load_theta_table(path)
+        key = "calibration_meta.signal.noise_sigma"
+        assert str(exc.value) == f"bad theta table {path}: {key}: must be positive, got 0.0"
+
 
 class TestReportDecoding:
     @pytest.mark.parametrize("value", [*LEAF_VALUES, REMOVED], ids=value_id)
