@@ -28,6 +28,7 @@ from .channel import (
     SignalParams,
     Verdict,
     acceptance_interval,
+    compute_noise_scale,
     deception_probability,
     estimate_distance,
     ideal_received_power,
@@ -41,7 +42,6 @@ from .experiment import (
     ExperimentReport,
     NoiseMode,
     PRESETS,
-    compute_noise_scale,
     deploy,
     emit_report,
     load_config,

@@ -15,16 +15,22 @@ import numpy as np
 from scipy.special import ndtr
 
 from .channel import (
+    NEGLIGIBLE_FACTOR,
     SIGMA_BAND,
     SignalParams,
     _deception_prob_arrays,
     _distance_window,
+    compute_noise_scale,
     require_finite,
 )
 from .codec import FieldError
 
-# Candidate-generation constants: samples per distance circle, and how many
-# top-scoring candidates get their own pattern-search refinement.
+# Candidate-generation constants: samples per equal-range circle, and how
+# many top-scoring candidates get their own pattern-search refinement. Circle
+# points are made only where they can reach those starts: in noise above the
+# negligible level, or for a faker with fewer than REFINE_STARTS feasible
+# pair reflections (optimize_fake_positions). Where made, they count: in
+# significant noise they move 63-81 cells of each 500-cell table.
 CIRCLE_SAMPLES = 16
 REFINE_STARTS = 5
 
@@ -180,6 +186,8 @@ _SCREEN_BLOCK = 16384
 # deploys and calibration chunks (2-CPU x86 host): in-band shares
 # 0.011-0.023 in negligible noise and 0.42-0.64 in significant noise;
 # reachable shares 0.08-0.11 and 0.68-0.81. The cut sits between both pairs.
+# It picks scorers and walks only: a thin band is not where circle points
+# stop counting (at 1e-4 of the significant sigma they still do).
 _THIN_SHARE = 0.3
 
 
@@ -597,11 +605,16 @@ def _grid_points(region: Region, step: float) -> np.ndarray:
     return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
+def _clear(x0: np.ndarray, radius: float, pts: np.ndarray) -> np.ndarray:
+    """Which of ``pts`` (..., 2) lie at least ``radius`` from ``x0``, which
+    broadcasts against them: ``_feasible`` for points inside the region."""
+    return np.hypot(pts[..., 0] - x0[..., 0], pts[..., 1] - x0[..., 1]) >= radius
+
+
 def _feasible(region: Region, x0: np.ndarray, radius: float, pts: np.ndarray) -> np.ndarray:
     """Which of ``pts`` (..., 2) a faker at ``x0`` may claim: in the region,
     and at least ``radius`` from ``x0``, which broadcasts against them."""
-    dist = np.hypot(pts[..., 0] - x0[..., 0], pts[..., 1] - x0[..., 1])
-    return (dist >= radius) & region.contains(pts)
+    return _clear(x0, radius, pts) & region.contains(pts)
 
 
 def _ranked(points: np.ndarray, values: np.ndarray, *major) -> np.ndarray:
@@ -657,7 +670,7 @@ def _walk(
     at = rows[:0]
     for _ in range(config.refine_iters):
         moves = region.clip(pts[:, None, :] + steps[:, None, None] * _COMPASS)
-        ok = _feasible(region, x0, config.exclusion_radius, moves)
+        ok = _clear(x0, config.exclusion_radius, moves)
         if len(at):
             match = (moves[at, :, None] == seen_pts[:, None]).all(-1)
             known = np.zeros(ok.shape, dtype=bool)
@@ -801,17 +814,37 @@ def optimize_fake_positions(
     searches a chunk of its cells.
 
     Deterministic search, per faker: a coarse grid over the region, plus
-    geometry candidates (pairwise circle crossings and points on each
-    equal-range circle, which carry the optima when the noise band is too
-    thin for any grid), filtered to the feasible set, then greedy compass
-    refinement with step halving from the top few candidates. Each faker's
-    candidates are scored by ``_candidate_values``, which first screens them
-    in float32, in one frame for the region (``_frame``). In a thin band
-    (``_THIN_SHARE``) every candidate is scored, and all fakers'
-    refinements walk in lockstep tested only against the receivers a move
-    can reach (``_refine_live``). In a wider band only the candidates whose
-    screened upper bound can rank them among the top few are scored, and
-    all refinements walk in lockstep against every receiver (``_refine``).
+    geometry candidates, filtered to the feasible set, then greedy compass
+    refinement with step halving from the ``REFINE_STARTS`` best candidates.
+    The geometry candidates are the pair reflections (``_pair_reflections``),
+    claims truthful to two receivers, and points on each receiver's
+    equal-range circle (``_circle_points``), truthful to one.
+
+    Circle points are made only when the noise lies above the negligible
+    level (``NEGLIGIBLE_FACTOR`` times ``compute_noise_scale``, the
+    "negligible" noise mode's sigma), or when the faker has fewer than
+    ``REFINE_STARTS`` feasible pair reflections. At or below that level a
+    reflection scores about two receivers and a circle point about one, so
+    with ``REFINE_STARTS`` reflections the starts are all reflections. This
+    rests on evidence, not proof: without the circle points, every fake and
+    value of 588 fakers of ``neg-noise-52`` and ``neg-noise-101-51``
+    deploys at seeds 0-5, and every value of ``neg-noise-52``'s 500-cell
+    tables at calibration seeds 0-2, stayed the same. Where they can reach
+    the starts they count: with one or two receivers in negligible noise
+    they carry the optimum, and in thin bands above the level (1e-4 and
+    0.03 of the significant sigma) they raise some cells' values; tests pin
+    both. Below the level, where a band can be too thin for any claim to
+    score above exactly 0.0, every candidate ties at 0.0, and without the
+    circle points the tie-break may pick another point of the same value.
+
+    Each faker's candidates are scored by ``_candidate_values``, which
+    first screens them in float32, in one frame for the region
+    (``_frame``). In a thin band (``_THIN_SHARE``) every candidate is
+    scored, and all fakers' refinements walk in lockstep tested only
+    against the receivers a move can reach (``_refine_live``). In a wider
+    band only the candidates whose screened upper bound can rank them among
+    the top few are scored, and all refinements walk in lockstep against
+    every receiver (``_refine``).
     Both walks score in batches that hold no more points than the largest
     candidate set, end byte-equal, and give each faker exactly the outcome
     it would get searched alone.
@@ -839,32 +872,30 @@ def optimize_fake_positions(
     grid = _grid_points(region, config.grid_step)
     shared = rx.gp.ndim == 2
     pairs = _receiver_pairs(rx.gp) if shared else None
+    negligible = params.noise_sigma <= NEGLIGIBLE_FACTOR * compute_noise_scale(params, region)
     # each faker's feasible grid points as a mask, and its other feasible
-    # candidates, to size the scratch before scoring; a mask keeps no copy
-    # of the grid per faker
+    # candidates as parts, to size the scratch before scoring; a mask keeps
+    # no copy of the grid per faker. Grid points lie in the region.
     geometry = []
     for f, x0 in enumerate(rx.x0):
         gp = rx.gp if shared else rx.gp[f]
-        cands = np.concatenate(
-            [
-                grid,
-                _pair_reflections(x0, pairs if shared else _receiver_pairs(gp)),
-                _circle_points(x0, gp, rx.r[:, f]),
-            ]
-        )
-        keep = _feasible(region, x0, config.exclusion_radius, cands)
-        geometry.append((keep[: len(grid)], cands[len(grid) :][keep[len(grid) :]]))
+        reflections = _pair_reflections(x0, pairs if shared else _receiver_pairs(gp))
+        extra = [reflections[_feasible(region, x0, config.exclusion_radius, reflections)]]
+        if not negligible or len(extra[0]) < REFINE_STARTS:
+            circles = _circle_points(x0, gp, rx.r[:, f])
+            extra.append(circles[_feasible(region, x0, config.exclusion_radius, circles)])
+        geometry.append((_clear(x0, config.exclusion_radius, grid), extra))
     if not geometry:
         return []
 
     # the largest candidate batch is the search's largest: refinement
     # batches hold no more points
-    most = max(np.count_nonzero(on_grid) + len(extra) for on_grid, extra in geometry)
+    most = max(np.count_nonzero(on_grid) + sum(map(len, extra)) for on_grid, extra in geometry)
     scratch = _Scratch(rx.r.shape[0] * most)
     frame = _frame(params, rx, (region.x_min, region.y_min), (region.x_max, region.y_max))
     starts = []
     for f, (on_grid, extra) in enumerate(geometry):
-        cands = np.concatenate([grid[on_grid], extra])
+        cands = np.concatenate([grid[on_grid], *extra])
         # refine from the strongest few starts; cheap insurance against the
         # greedy walk stalling on a local ridge
         values = _candidate_values(params, rx, cands, f, scratch, frame)

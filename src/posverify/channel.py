@@ -11,11 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import ndtr
 
 from .codec import FieldError
+
+if TYPE_CHECKING:
+    from .adversary import Region
 
 FOUR_PI = 4.0 * math.pi
 
@@ -24,6 +28,11 @@ SIGMA_BAND = 3.0
 
 # 2*Phi(3) - 1: probability that a truthful claim passes the 3-sigma test.
 TRUTHFUL_ACCEPT_PROB = 0.9973002039367398
+
+# Noise at most this share of ``compute_noise_scale`` is negligible: the
+# "negligible" noise mode's sigma, and the level up to which the faker
+# search leaves out its circle candidates.
+NEGLIGIBLE_FACTOR = 1e-6
 
 
 def require_finite(obj) -> None:
@@ -129,6 +138,15 @@ def ideal_received_power(params: SignalParams, distance):
         raise ValueError("distance must be positive")
     out = params.transmit_power * (params.alpha / d) ** params.path_loss_exponent
     return float(out) if np.isscalar(distance) or d.ndim == 0 else out
+
+
+def compute_noise_scale(signal: SignalParams, region: Region) -> float:
+    """One third of the ideal received power across the region diagonal.
+
+    Even the two farthest-apart honest nodes then read a positive power
+    with probability ~0.999, so ranging between them almost never fails.
+    """
+    return float(ideal_received_power(signal, region.diagonal)) / 3.0
 
 
 def noisy_received_power(params: SignalParams, distance, rng: np.random.Generator):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .adversary import FakingSearchConfig, Region, optimize_fake_positions
 from .calibration import CalibrationMeta, ThetaTable, cached_theta_table, load_theta_table
-from .channel import Signal, SignalParams, ideal_received_power
+from .channel import NEGLIGIBLE_FACTOR, Signal, SignalParams, compute_noise_scale
 from .codec import FieldError, read_json, write_csv, write_json
 from .pool import pool_map
 from .protocol import (
@@ -21,7 +21,6 @@ from .protocol import (
     quantile_filter,
 )
 
-NEGLIGIBLE_FACTOR = 1e-6
 RECALIBRATE = "recalibrate"
 
 NOISE_MODES = ("negligible", "significant", "explicit")
@@ -57,15 +56,6 @@ class NoiseMode:
             return float(self.sigma)
         scale = compute_noise_scale(signal, region)
         return NEGLIGIBLE_FACTOR * scale if self.mode == "negligible" else scale
-
-
-def compute_noise_scale(signal: SignalParams, region: Region) -> float:
-    """One third of the ideal received power across the region diagonal.
-
-    Even the two farthest-apart honest nodes then read a positive power
-    with probability ~0.999, so ranging between them almost never fails.
-    """
-    return float(ideal_received_power(signal, region.diagonal)) / 3.0
 
 
 @dataclass(frozen=True)

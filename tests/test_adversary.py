@@ -22,6 +22,7 @@ from posverify.adversary import (
     Region,
     _candidate_values,
     _circle_points,
+    _clear,
     _feasible,
     _frame,
     _grid_points,
@@ -45,10 +46,12 @@ from posverify.adversary import (
 )
 from posverify.calibration import _calibration_chunk
 from posverify.channel import (
+    NEGLIGIBLE_FACTOR,
     SIGMA_BAND,
     TRUTHFUL_ACCEPT_PROB,
     SignalParams,
     _deception_prob_arrays,
+    compute_noise_scale,
     deception_probability,
     ideal_received_power,
 )
@@ -179,9 +182,13 @@ def neg_noise_params():
 
 class TestOptimizer:
     def test_single_node_hits_circle_probability(self):
+        # no grid point lies on the receiver's equal-range circle (a
+        # receiver at (70, 60), 50 m away, has (40, 20) on it, and one at
+        # (70.3, 60.1) has (20, 60)), so only a circle point starts the walk
+        # on it; without circle points the search finds 0.0
         params = neg_noise_params()
         cfg = FakingSearchConfig(exclusion_radius=7.0, grid_step=5.0)
-        out = optimize_fake_position(params, REGION, (30.0, 30.0), [(70.0, 60.0)], cfg)
+        out = optimize_fake_position(params, REGION, (30.0, 30.0), [(70.3, 60.7)], cfg)
         assert out.expected_deceived == pytest.approx(TRUTHFUL_ACCEPT_PROB, rel=1e-6)
 
     def test_two_nodes_reach_double_deception(self):
@@ -355,6 +362,71 @@ class TestOptimizer:
         assert out.expected_deceived >= brute - 1e-6
 
 
+class TestCirclePoints:
+    # values taken with circle points for every faker in every band; the
+    # comments give each value without them
+
+    @pytest.mark.parametrize("gp", [[(70.3, 60.1)], [(70.3, 60.1), (71.9, 58.2)]])
+    def test_few_receivers_in_negligible_noise(self, gp):
+        # no pair reflection, or one: circle points carry the optimum
+        # (without them, 0.0 at (0.0, 0.0))
+        cfg = FakingSearchConfig(exclusion_radius=7.0, grid_step=5.0)
+        out = optimize_fake_position(neg_noise_params(), REGION, (30.2, 30.7), gp, cfg)
+        assert out.expected_deceived == 0.9973002039524532
+        assert out.fake_position == (20.577067664909386, 60.10000000000001)
+
+    @pytest.mark.parametrize(
+        "scale,cell,value",
+        [
+            (1e-4, 153, 2.5487930493943987),  # without them 2.535517826283046
+            (0.03, 62, 3.953216434533531),  # without them 3.86852731821822
+        ],
+    )
+    def test_thin_bands_above_the_negligible_level(self, scale, cell, value):
+        # sig-noise-62's calibration cells at a fraction of its sigma, 50
+        # receivers: bands thin enough for the pair-list scorer, and circle
+        # points still raise the optimum
+        meta = PRESETS["sig-noise-62"].calibration_meta()
+        signal = replace(meta.signal, noise_sigma=meta.signal.noise_sigma * scale)
+        meta = replace(meta, signal=signal)
+        assert _calibration_chunk((meta, 50, range(cell, cell + 1))) == [value]
+
+    def test_none_at_the_negligible_level(self, monkeypatch):
+        # the negligible noise mode's sigma is the level itself, so its
+        # deploys make no circle point; one ulp above, every faker makes them
+        cfg = PRESETS["neg-noise-52"]
+        params = cfg.resolved_signal()
+        assert params.noise_sigma == NEGLIGIBLE_FACTOR * compute_noise_scale(params, cfg.region)
+        nodes = deploy(cfg, 0)
+        genuine = [n.true_position for n in nodes[: cfg.n0]]
+        truths = [n.true_position for n in nodes[cfg.n0 :]]
+        calls = recorded_calls(monkeypatch, "_circle_points")
+        optimize_fake_positions(params, cfg.region, truths, genuine, cfg.faking)
+        assert calls == []
+        above = replace(params, noise_sigma=float(np.nextafter(params.noise_sigma, np.inf)))
+        optimize_fake_positions(above, cfg.region, truths, genuine, cfg.faking)
+        assert len(calls) == len(truths)
+
+    @pytest.mark.parametrize("name", ["neg-noise-52", "sig-noise-q-55"])
+    def test_search_scores_the_candidates_of_the_test_helper(self, name, monkeypatch):
+        cfg = PRESETS[name]
+        params = cfg.resolved_signal()
+        batches = []
+        inner = adversary._candidate_values
+
+        def recorded(params, rx, pts, *args):
+            batches.append(pts.copy())
+            return inner(params, rx, pts, *args)
+
+        monkeypatch.setattr(adversary, "_candidate_values", recorded)
+        nodes = deploy(cfg, 0)
+        genuine = [n.true_position for n in nodes[: cfg.n0]]
+        assert len(batches) == cfg.n - cfg.n0
+        for node, got in zip(nodes[cfg.n0 :], batches):
+            want = search_candidates(params, node.true_position, genuine, cfg.faking)
+            assert got.tobytes() == want.tobytes()
+
+
 def dense_theta_batch(params, true_position, genuine_positions, points):
     """The kernel before band pruning: every (receiver, point) pair scored."""
     x0 = np.asarray(true_position, dtype=float).reshape(2)
@@ -471,6 +543,15 @@ def thin_instances(draw):
     return params, x0s, gp, pts
 
 
+# sha256 of repr(outcomes) of neg-noise-52 deploys at seeds 0-3
+NEG_DEPLOY_REPRS = [
+    "5e6a869abfbc73bf2b8a65ff3711f7e59c4b9255362bee6b675077a0994ccae4",
+    "2f127aeedad34323db91ed343c95d78fa8742b4a32a2502ca4ca65fa4d69712b",
+    "d848e39c10836c5ac366a6cd3ede1e6f3b35a53cb38c161649564260c4366d48",
+    "a7e4681327c1259cf4d5a6d86641446e775bf12041984ab6becee979cb15ca4d",
+]
+
+
 class TestThinScores:
     def test_bit_identical_to_a_dense_sum(self, monkeypatch):
         # the pair-list sums against every receiver's probability summed in a
@@ -530,7 +611,8 @@ class TestThinScores:
     )
     def test_negligible_noise_deploys_keep_their_outcomes(self, seed, digest):
         # sha256 of every faker's fake, value and per-node probabilities, as
-        # dense column sums gave them
+        # dense column sums gave them, and of the outcomes' repr, as the
+        # search gave it with circle points in every band
         cfg = PRESETS["neg-noise-52"]
         nodes = deploy(cfg, seed)
         genuine = [n.true_position for n in nodes[: cfg.n0]]
@@ -544,6 +626,7 @@ class TestThinScores:
             h.update(np.float64(o.expected_deceived).tobytes())
             h.update(np.array(o.per_node_probs).tobytes())
         assert h.hexdigest() == digest
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == NEG_DEPLOY_REPRS[seed]
 
 
 # the unit test square, one far from the origin, and squares at millimetre
@@ -798,16 +881,23 @@ def assert_same_top(params, rx, pts, owner, k=REFINE_STARTS):
 
 
 def search_candidates(params, x0, gp, config):
-    """A faker's candidate set, built as ``optimize_fake_positions`` does."""
+    """A faker's candidate set, built as ``optimize_fake_positions`` does:
+    its feasible grid points and pair reflections, and its feasible circle
+    points unless the noise is negligible and it has ``REFINE_STARTS``
+    reflections."""
     rx = _receivers(params, x0, gp)
-    cands = np.concatenate(
-        [
-            _grid_points(REGION, config.grid_step),
-            _pair_reflections(rx.x0[0], _receiver_pairs(rx.gp)),
-            _circle_points(rx.x0[0], rx.gp, rx.r[:, 0]),
-        ]
-    )
-    return cands[_feasible(REGION, rx.x0[0], config.exclusion_radius, cands)]
+
+    def feasible(pts):
+        return pts[_feasible(REGION, rx.x0[0], config.exclusion_radius, pts)]
+
+    parts = [
+        feasible(_grid_points(REGION, config.grid_step)),
+        feasible(_pair_reflections(rx.x0[0], _receiver_pairs(rx.gp))),
+    ]
+    negligible = params.noise_sigma <= NEGLIGIBLE_FACTOR * compute_noise_scale(params, REGION)
+    if not negligible or len(parts[1]) < REFINE_STARTS:
+        parts.append(feasible(_circle_points(rx.x0[0], rx.gp, rx.r[:, 0])))
+    return np.concatenate(parts)
 
 
 @st.composite
@@ -1131,6 +1221,34 @@ class TestSearchProperties:
             assert out.expected_deceived == theta_for_fake(params, x0, fake, gp)
             for cand in grid[_feasible(REGION, x0, cfg.exclusion_radius, grid)]:
                 assert out.expected_deceived >= theta_for_fake(params, x0, cand, gp)
+
+
+@st.composite
+def mask_instances(draw):
+    region = draw(st.sampled_from(EDGE_REGIONS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0s = region.sample(rng, draw(st.integers(1, 3)))
+    diag = region.diagonal
+    step = diag * draw(st.sampled_from([0.01, 1 / 30, 0.1, 0.7]))
+    radius = diag * draw(st.sampled_from([0.0, 0.05, 0.2, 0.6]))
+    return region, rng, x0s, step, radius
+
+
+class TestFeasibleMasks:
+    @given(mask_instances())
+    def test_grid_and_clipped_moves_need_only_the_exclusion_test(self, instance):
+        # the search tests grid points and walk moves by distance alone:
+        # both lie in the region by construction
+        region, rng, x0s, step, radius = instance
+        grid = _grid_points(region, step)
+        starts = np.concatenate([region.sample(rng, 6), grid[rng.integers(0, len(grid), 6)]])
+        steps = step * rng.choice([0.5, 0.25, 1e-3], len(starts))
+        moves = region.clip(starts[:, None, :] + steps[:, None, None] * _COMPASS)
+        for x0 in x0s:
+            for pts in (grid, moves):
+                assert np.array_equal(
+                    _clear(x0, radius, pts), _feasible(region, x0, radius, pts)
+                )
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -25,7 +26,7 @@ from posverify.calibration import (
     threshold,
 )
 from posverify.channel import SignalParams, ideal_received_power
-from posverify.codec import from_json, to_json
+from posverify.codec import from_json, to_json, write_json
 from posverify.experiment import PRESETS, NoiseMode
 
 
@@ -182,6 +183,15 @@ class TestEstimateThetaTable:
     @pytest.mark.parametrize("seed,theta_star", enumerate([3, 2, 3, 3, 3, 2]))
     def test_negligible_noise_theta_star_over_seeds(self, seed, theta_star):
         assert preset_table("neg-noise-52", seed).theta_star == theta_star
+
+    def test_negligible_noise_table_keeps_its_bytes(self, tmp_path):
+        # neg-noise-52's 500-cell n=100 table, as the search wrote it with
+        # circle points for every faker in every band
+        path = tmp_path / "table.json"
+        write_json(path, estimate_theta_table(100, PRESETS["neg-noise-52"].calibration_meta()))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "297018ae1b785eb9e7511d84bfe63ae21d8f3bd192a303e909a1c2ee4a603c27"
+        )
 
     def test_significant_noise_schedule_steps_down_at_seed_5(self):
         # the sampled 0.9 quantile sits above the ceiling of the worst

@@ -17,17 +17,15 @@ from posverify.calibration import (
     estimate_theta_table,
     load_theta_table,
 )
-from posverify.channel import Signal, SignalParams
+from posverify.channel import NEGLIGIBLE_FACTOR, Signal, SignalParams, compute_noise_scale
 from posverify.cli import main
 from posverify.codec import from_json, to_json, write_json
 from posverify.experiment import (
     CSV_COLUMNS,
-    NEGLIGIBLE_FACTOR,
     CalibrationCounts,
     ExperimentConfig,
     NoiseMode,
     PRESETS,
-    compute_noise_scale,
     deploy,
     emit_report,
     load_config,
